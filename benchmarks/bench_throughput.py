@@ -1,10 +1,11 @@
 """Tool throughput microbenchmarks (the paper quotes ~10 hours per 100M-
 instruction analysis on a DECstation 3100; these measure our stack).
 
-The ``test_analyzer_*`` / ``test_columnar_*`` pairs time the legacy
-tuple-per-record analyzer against the columnar kernels on the same
-100k-record espressox trace; the committed baseline numbers live in
-``benchmarks/BENCH_throughput.json``. To refresh it after kernel work::
+The ``test_analyze_throughput_*`` rows time the production analyzer, one
+row per kernel family, on the same 100k-record espressox columnar trace
+(the ``test_vkernel_*`` rows are their NumPy twins); the committed
+baseline numbers live in ``benchmarks/BENCH_throughput.json``. To refresh
+it after kernel work::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_throughput.py \\
         --benchmark-json=benchmarks/BENCH_throughput.json -q
@@ -17,7 +18,6 @@ import pytest
 from repro.core import vkernels
 from repro.core.analyzer import analyze
 from repro.core.config import AnalysisConfig
-from repro.core.kernels import analyze_columnar
 from repro.core.stream import stream_analyze_file
 from repro.cpu.machine import Machine
 from repro.engine import ExperimentEngine
@@ -52,39 +52,20 @@ def bench_columnar(store):
     return trace
 
 
-def test_analyzer_throughput_full_renaming(benchmark, bench_trace):
-    result = benchmark(analyze, bench_trace, AnalysisConfig())
-    assert result.records_processed == 100_000
-
-
-def test_analyzer_throughput_no_renaming(benchmark, bench_trace):
-    result = benchmark(analyze, bench_trace, AnalysisConfig.no_renaming())
-    assert result.records_processed == 100_000
-
-
-def test_analyzer_throughput_windowed(benchmark, bench_trace):
-    result = benchmark(analyze, bench_trace, AnalysisConfig(window_size=1024))
-    assert result.records_processed == 100_000
-
-
-def test_columnar_throughput_dataflow_kernel(benchmark, bench_columnar):
-    result = benchmark(analyze_columnar, bench_columnar, AnalysisConfig())
+def test_analyze_throughput_dataflow(benchmark, bench_columnar):
+    result = benchmark(analyze, bench_columnar, AnalysisConfig())
     _tag_backend(benchmark, "python", "dataflow")
     assert result.records_processed == 100_000
 
 
-def test_columnar_throughput_windowed_kernel(benchmark, bench_columnar):
-    result = benchmark(
-        analyze_columnar, bench_columnar, AnalysisConfig(window_size=1024)
-    )
+def test_analyze_throughput_windowed(benchmark, bench_columnar):
+    result = benchmark(analyze, bench_columnar, AnalysisConfig(window_size=1024))
     _tag_backend(benchmark, "python", "windowed")
     assert result.records_processed == 100_000
 
 
-def test_columnar_throughput_generic_kernel(benchmark, bench_columnar):
-    result = benchmark(
-        analyze_columnar, bench_columnar, AnalysisConfig.no_renaming()
-    )
+def test_analyze_throughput_generic(benchmark, bench_columnar):
+    result = benchmark(analyze, bench_columnar, AnalysisConfig.no_renaming())
     _tag_backend(benchmark, "python", "generic")
     assert result.records_processed == 100_000
 
@@ -94,9 +75,7 @@ def test_vkernel_throughput_dataflow(benchmark, bench_columnar):
     """Informational numpy twin of the dataflow row (espressox's deep
     dependence chains bound the frontier, so the speedup here is modest)."""
     vkernels.analyze_vectorized(bench_columnar, AnalysisConfig())  # warm index
-    result = benchmark(
-        analyze_columnar, bench_columnar, AnalysisConfig(), backend="numpy"
-    )
+    result = benchmark(analyze, bench_columnar, AnalysisConfig(), backend="numpy")
     _tag_backend(benchmark, "numpy", "dataflow")
     assert result.records_processed == 100_000
 
@@ -104,7 +83,7 @@ def test_vkernel_throughput_dataflow(benchmark, bench_columnar):
 @requires_numpy
 def test_vkernel_throughput_generic(benchmark, bench_columnar):
     result = benchmark(
-        analyze_columnar, bench_columnar, AnalysisConfig.no_renaming(), backend="numpy"
+        analyze, bench_columnar, AnalysisConfig.no_renaming(), backend="numpy"
     )
     _tag_backend(benchmark, "numpy", "generic")
     assert result.records_processed == 100_000
@@ -117,18 +96,11 @@ def test_columnar_decode_from_file(benchmark, store, bench_trace):
     assert len(trace) == 100_000
 
 
-def test_columnar_decode_mmap(benchmark, store, bench_trace):
-    """Zero-copy decode: read-only mmap + vectorized column gathers."""
-    path, _ = store.ensure_on_disk("espressox", 100_000)
-    trace = benchmark(ColumnarTrace.from_pgt2_mmap, path)
-    benchmark.extra_info["decode"] = "mmap"
-    assert len(trace) == 100_000
-
-
 # --- backend gate -------------------------------------------------------------
-# The same generic-kernel analysis (matrix300x@100k, registers and stack
+# The same generic-family analysis (matrix300x@100k, registers and stack
 # renamed — a wide-frontier numeric workload) on both backends in the same
-# run. check_regression.py --backend-gate finds these two rows by their
+# run, through ``analyze`` — the path production runs.
+# check_regression.py --backend-gate finds these two rows by their
 # extra_info keys and fails CI if the numpy backend has lost its >= 5x
 # throughput edge; machine speed cancels out of the same-run ratio.
 
@@ -145,7 +117,7 @@ GATE_CONFIG = AnalysisConfig.registers_and_stack_renamed()
 
 
 def test_backend_gate_python(benchmark, gate_columnar):
-    result = benchmark(analyze_columnar, gate_columnar, GATE_CONFIG)
+    result = benchmark(analyze, gate_columnar, GATE_CONFIG)
     _tag_backend(benchmark, "python", "generic", gate="backend")
     assert result.records_processed == 100_000
 
@@ -155,9 +127,7 @@ def test_backend_gate_numpy(benchmark, gate_columnar):
     # Warm the access-stream index: it is cached per trace (like census
     # above), so steady-state runs never pay it per analysis.
     vkernels.analyze_vectorized(gate_columnar, GATE_CONFIG)
-    result = benchmark(
-        analyze_columnar, gate_columnar, GATE_CONFIG, backend="numpy"
-    )
+    result = benchmark(analyze, gate_columnar, GATE_CONFIG, backend="numpy")
     _tag_backend(benchmark, "numpy", "generic", gate="backend")
     assert result.records_processed == 100_000
 
@@ -165,7 +135,7 @@ def test_backend_gate_numpy(benchmark, gate_columnar):
 # --- streaming vs in-memory -------------------------------------------------
 # Same trace (cc1x@100k carries real conservative-syscall firewalls, so the
 # sharded path genuinely splices), same dataflow config, three pipelines:
-# whole-file decode + kernel, chunked frontier streaming, and pool-sharded
+# whole-file decode + analyze, chunked frontier streaming, and pool-sharded
 # stitch. check_regression.py --stream-gate turns the same-run ratios into a
 # gating bound on streaming/sharding overhead (machine speed cancels out).
 
@@ -191,7 +161,7 @@ def _record_peak_rss(benchmark):
 
 def test_inmemory_throughput_from_file(benchmark, stream_file):
     def run():
-        return analyze_columnar(ColumnarTrace.from_file(stream_file), AnalysisConfig())
+        return analyze(ColumnarTrace.from_file(stream_file), AnalysisConfig())
 
     result = benchmark(run)
     _record_peak_rss(benchmark)

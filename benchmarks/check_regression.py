@@ -114,10 +114,12 @@ def stream_gate(fresh: dict) -> int:
 
 
 #: Minimum same-run python/numpy speedup for --backend-gate. The gate pair
-#: (matrix300x@100k, registers and stack renamed, generic kernel) runs
-#: ~7x on a quiet machine; 5x leaves jitter headroom while catching a
-#: structural loss (a de-vectorized hot path, an accidental per-record
-#: fallback, an index rebuilt per run).
+#: (matrix300x@100k, registers and stack renamed, generic kernel) ran ~7x
+#: against the former columnar generic kernel; against ``analyze``, the
+#: generic loop production runs, it reads ~3.9x on a 2-core Xeon @ 2.10GHz,
+#: under this bound (ROADMAP item 4 decides the backend's future). 5x
+#: catches a structural loss (a de-vectorized hot path, an accidental
+#: per-record fallback, an index rebuilt per run).
 BACKEND_GATE_BACKENDS = ("python", "numpy")
 BACKEND_GATE_MIN_SPEEDUP = 5.0
 

@@ -20,8 +20,12 @@ examples (Figures 1, 2 and 5) require the WAR term *not* to be scaled by
 ``highestLevel`` itself; the rule above matches every figure exactly. See
 DESIGN.md section 4.
 
-This module is written for throughput (it is the per-record hot loop of
-every experiment); :mod:`repro.core.reference` holds the readable
+The pass itself lives in :mod:`repro.core.stream`: a whole-trace analysis
+is ``finalize(advance(new_frontier(...), trace))`` over the columnar
+trace, running the one resumable loop of the configuration's kernel
+family (:func:`repro.core.kernels.select_kernel`). Chunked streaming and
+sharded analysis advance the very same loops, so they cannot drift from
+this entry point. :mod:`repro.core.reference` holds the readable
 reference implementation that tests cross-validate against.
 """
 
@@ -29,27 +33,12 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.core.branch import make_predictor
-from repro.core.config import (
-    CONSERVATIVE,
-    CONSERVATIVE_DISAMBIGUATION,
-    AnalysisConfig,
-)
-from repro.core.lifetimes import LifetimeStats
-from repro.core.livewell import NEVER_USED
-from repro.core.profile import ParallelismProfile
-from repro.core.resources import ResourceState
+from repro.core.config import AnalysisConfig
 from repro.core.results import AnalysisResult
-from repro.isa.locations import MEM_BASE
-from repro.isa.opclasses import OpClass
-from repro.trace.columnar import ColumnarTrace
-from repro.trace.record import FLAG_CONDITIONAL, FLAG_TAKEN
-from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
-
-_SYSCALL = int(OpClass.SYSCALL)
-_BRANCH = int(OpClass.BRANCH)
-_LOAD = int(OpClass.LOAD)
-_STORE = int(OpClass.STORE)
+from repro.core.stream import advance, as_columnar, finalize, new_frontier
+from repro.obs import metrics as _obs
+from repro.obs.spans import span as _span
+from repro.trace.segments import SegmentMap
 
 
 def analyze(
@@ -61,18 +50,18 @@ def analyze(
     """Run one Paragraph analysis over ``trace``.
 
     Args:
-        trace: an iterable of trace records; a
-            :class:`~repro.trace.buffer.TraceBuffer` supplies its own
-            segment map.
+        trace: a :class:`~repro.trace.columnar.ColumnarTrace` (analyzed
+            as is), a :class:`~repro.trace.buffer.TraceBuffer` (flattened
+            to columns once), or any iterable of trace records. Traces
+            carry their own segment map.
         config: the analysis configuration (defaults to the dataflow limit:
             conservative syscalls, full renaming, unlimited window).
-        segments: segment map override for plain iterables.
+        segments: segment map override.
         backend: ``"python"`` (default) or ``"numpy"``. The numpy backend
             evaluates the same placement rule over level-frontier batches
             (:mod:`repro.core.vkernels`) and is bit-identical; it applies
-            when NumPy is importable, the configuration is eligible
-            (no branch predictor, no constrained resources), and the
-            trace is columnar (or a buffer, converted once) — anything
+            when NumPy is importable and the configuration is eligible
+            (no branch predictor, no constrained resources) — anything
             else falls back to the python loops silently. Results never
             depend on the backend.
 
@@ -81,234 +70,21 @@ def analyze(
     """
     if config is None:
         config = AnalysisConfig()
+    trace = as_columnar(trace, segments)
+    if segments is None:
+        segments = trace.segments
     if backend != "python":
         from repro.core import vkernels
 
         if backend not in vkernels.BACKENDS:
             raise ValueError(f"unknown analysis backend {backend!r}")
         if vkernels.available() and vkernels.eligible(config):
-            vtrace = trace
-            if not isinstance(vtrace, ColumnarTrace):
-                from repro.trace.buffer import TraceBuffer
-
-                if isinstance(vtrace, TraceBuffer):
-                    vtrace = ColumnarTrace.from_buffer(vtrace)
-            if isinstance(vtrace, ColumnarTrace):
-                return vkernels.analyze_vectorized(vtrace, config, segments)
-    if isinstance(trace, ColumnarTrace):
-        from repro.core.kernels import KERNEL_GENERIC, analyze_columnar, select_kernel
-
-        if select_kernel(config) != KERNEL_GENERIC:
-            return analyze_columnar(trace, config, segments)
-        # Generic configs revisit every operand 2-3 times per record, which
-        # tuple records serve better than flat columns (the tuples hold the
-        # operands already boxed). The materialization is memoized, so a
-        # grid of generic jobs against one shared trace pays it once.
-        trace = trace.to_buffer()
-    if segments is None:
-        segments = getattr(trace, "segments", DEFAULT_SEGMENTS)
-
-    latency = config.latency.as_list()
-    rename_regs = config.rename_registers
-    rename_stack = config.rename_stack
-    rename_data = config.rename_data
-    all_renamed = rename_regs and rename_stack and rename_data
-    stack_bound = MEM_BASE + segments.stack_floor
-    conservative = config.syscall_policy == CONSERVATIVE
-    syscall_top = latency[_SYSCALL]
-    collect_profile = config.collect_profile
-    collect_lifetimes = config.collect_lifetimes
-    lifetimes = LifetimeStats() if collect_lifetimes else None
-    resources = None
-    if config.resources is not None and not config.resources.unconstrained:
-        resources = ResourceState(config.resources)
-    predictor = make_predictor(config.branch_predictor) if config.branch_predictor else None
-    conservative_mem = config.memory_disambiguation == CONSERVATIVE_DISAMBIGUATION
-    mem_store_level = NEVER_USED  # completion level of the last store
-    mem_deepest_access = NEVER_USED  # deepest load or store completion
-
-    window = config.window_size
-    ring = [None] * window if window else None
-    ring_pos = 0
-
-    well = {}
-    well_get = well.get
-    profile_counts = {}
-    profile_get = profile_counts.get
-
-    never = NEVER_USED
-    floor = 0
-    deepest = -1
-    placed = 0
-    records_processed = 0
-    syscalls = 0
-    firewalls = 0
-    branches = 0
-    mispredictions = 0
-
-    for record in trace:
-        records_processed += 1
-        if ring is not None:
-            old = ring[ring_pos]
-            if old is not None and old >= floor:
-                floor = old + 1
-        klass = record[0]
-        if klass >= _BRANCH:  # BRANCH / JUMP / NOP: not placed in the DDG
-            flags = record[3]
-            if klass == _BRANCH and flags & FLAG_CONDITIONAL:
-                branches += 1
-                if predictor is not None:
-                    pc = record[4]
-                    actual = bool(flags & FLAG_TAKEN)
-                    predicted = predictor.predict(pc)
-                    predictor.update(pc, actual)
-                    if predicted != actual:
-                        mispredictions += 1
-                        base = floor - 1
-                        for src in record[1]:
-                            entry = well_get(src)
-                            if entry is not None and entry[0] > base:
-                                base = entry[0]
-                        resolve = base + latency[_BRANCH]
-                        if resolve > floor:
-                            floor = resolve
-                            firewalls += 1
-            if ring is not None:
-                ring[ring_pos] = None
-                ring_pos += 1
-                if ring_pos == window:
-                    ring_pos = 0
-            continue
-
-        if klass == _SYSCALL:
-            syscalls += 1
-            if not conservative:
-                if ring is not None:
-                    ring[ring_pos] = None
-                    ring_pos += 1
-                    if ring_pos == window:
-                        ring_pos = 0
-                continue
-            # Conservative: firewall immediately after the deepest
-            # computation; the call itself is placed there.
-            level = deepest + 1
-            low = floor - 1 + syscall_top
-            if low > level:
-                level = low
-            firewalls += 1
-            placed += 1
-            if collect_profile:
-                profile_counts[level] = profile_get(level, 0) + 1
-            if level > deepest:
-                deepest = level
-            floor = level + 1
-            for dest in record[2]:
-                old_entry = well_get(dest)
-                if old_entry is not None and lifetimes is not None and not old_entry[3]:
-                    used = old_entry[2]
-                    lifetimes.record(old_entry[1] - old_entry[0] if used else 0, used)
-                well[dest] = [level, never, 0, False]
-            if ring is not None:
-                ring[ring_pos] = level
-                ring_pos += 1
-                if ring_pos == window:
-                    ring_pos = 0
-            continue
-
-        # Ordinary value-creating operation.
-        top = latency[klass]
-        srcs = record[1]
-        base = floor - 1
-        for src in srcs:
-            entry = well_get(src)
-            if entry is None:
-                # First touch: a pre-existing value, created the level
-                # before the topologically highest available level.
-                well[src] = [floor - 1, never, 0, True]
-            elif entry[0] > base:
-                base = entry[0]
-        level = base + top
-
-        dests = record[2]
-        if not all_renamed:
-            for dest in dests:
-                if dest < MEM_BASE:
-                    renamed = rename_regs
-                elif dest >= stack_bound:
-                    renamed = rename_stack
-                else:
-                    renamed = rename_data
-                if not renamed:
-                    entry = well_get(dest)
-                    if entry is not None:
-                        war = entry[1] + 1
-                        if war > level:
-                            level = war
-
-        if conservative_mem:
-            # No alias analysis: a load depends on the last store as if it
-            # read the value it wrote; a store waits behind every earlier
-            # memory access it might conflict with.
-            if klass == _LOAD:
-                if mem_store_level + top > level:
-                    level = mem_store_level + top
-            elif klass == _STORE:
-                if mem_deepest_access + 1 > level:
-                    level = mem_deepest_access + 1
-
-        if resources is not None:
-            level = resources.place(klass, level)
-
-        placed += 1
-        if collect_profile:
-            profile_counts[level] = profile_get(level, 0) + 1
-        if level > deepest:
-            deepest = level
-        if conservative_mem and (klass == _LOAD or klass == _STORE):
-            if level > mem_deepest_access:
-                mem_deepest_access = level
-            if klass == _STORE and level > mem_store_level:
-                mem_store_level = level
-
-        for src in srcs:
-            entry = well[src]
-            if level > entry[1]:
-                entry[1] = level
-            entry[2] += 1
-
-        for dest in dests:
-            old_entry = well_get(dest)
-            if old_entry is not None and lifetimes is not None and not old_entry[3]:
-                used = old_entry[2]
-                lifetimes.record(old_entry[1] - old_entry[0] if used else 0, used)
-            well[dest] = [level, never, 0, False]
-
-        if ring is not None:
-            ring[ring_pos] = level
-            ring_pos += 1
-            if ring_pos == window:
-                ring_pos = 0
-
-    if lifetimes is not None:
-        for entry in well.values():
-            if not entry[3]:
-                used = entry[2]
-                lifetimes.record(entry[1] - entry[0] if used else 0, used)
-
-    # The well only ever grows (a brand-new dest/src key is the sole size
-    # change), so its final size is its peak — no per-record len() probe.
-    peak = len(well)
-
-    return AnalysisResult(
-        records_processed=records_processed,
-        placed_operations=placed,
-        critical_path_length=deepest + 1,
-        profile=ParallelismProfile(profile_counts) if collect_profile else None,
-        syscalls=syscalls,
-        firewalls=firewalls,
-        branches=branches,
-        mispredictions=mispredictions,
-        peak_live_well=peak,
-        lifetimes=lifetimes,
-        config=config,
-    )
+            return vkernels.analyze_vectorized(trace, config, segments)
+    frontier = new_frontier(config, segments, backend)
+    # The span is per analysis, not per record: with metrics off this is a
+    # single predicate on the null registry; with metrics on it prices each
+    # kernel family separately (``span.kernel.scan.<kernel>.wall``).
+    if not _obs.enabled():
+        return finalize(advance(frontier, trace))
+    with _span(f"kernel.scan.{frontier.kernel}"):
+        return finalize(advance(frontier, trace))

@@ -1,17 +1,18 @@
-"""Resumable Paragraph analysis: frontiers, segment summaries, stitching.
+"""Resumable Paragraph analysis: the placement loops, frontiers, stitching.
 
-The analysis kernels in :mod:`repro.core.kernels` run a whole trace in one
-loop whose state lives in locals. This module factors that state into an
-explicit :class:`Frontier` that can be carried across chunk boundaries, so
-a trace too large for memory streams through a bounded window:
+This module holds the one python implementation of the placement rule:
+one loop per kernel family (:func:`repro.core.kernels.select_kernel`),
+each an exact continuation over a record range whose state lives in an
+explicit :class:`Frontier` between calls. A whole-trace analysis
+(:func:`repro.core.analyzer.analyze`) is a single call over the full
+range; a trace too large for memory streams through a bounded window:
 
     frontier = new_frontier(config, segments)
     for chunk in chunks:            # each chunk decoded, used, discarded
         advance(frontier, chunk)
     result = finalize(frontier)     # identical to whole-trace analysis
 
-``advance`` is an exact continuation — the per-record semantics are the
-kernels' own, field for field — so chunked streaming reproduces the
+Because every path runs the same loops, chunked streaming reproduces the
 monolithic result for *every* configuration: all rename settings, window
 sizes, branch predictors, resource limits, syscall policies, memory
 disambiguation, lifetimes, profiles.
@@ -123,8 +124,8 @@ def align_shard_size(config: AnalysisConfig, shard_size: int) -> int:
 class Frontier:
     """The complete mutable state of one in-progress analysis.
 
-    Everything the kernels keep in loop locals lives here between
-    ``advance`` calls: the live well, the level floor, the deepest
+    Everything the loops keep in locals lives here between ``advance``
+    calls: the live well, the level floor, the deepest
     placement, the instruction-window ring, counters, the parallelism
     profile, conservative-memory levels, and the (sequential-only)
     predictor and resource objects.
@@ -181,7 +182,7 @@ class Frontier:
         window = config.window_size
         self.ring: Optional[List[Optional[int]]] = [None] * window if window else None
         self.ring_pos = 0
-        self.profile: Optional[Dict[int, int]] = {} if config.collect_profile else None
+        self.profile: Optional[Counter] = Counter() if config.collect_profile else None
         self.records = 0
         self.placed = 0
         self.syscalls = 0
@@ -221,7 +222,8 @@ def new_frontier(
 def advance(frontier: Frontier, trace, start: int = 0, end: Optional[int] = None) -> Frontier:
     """Run records ``[start, end)`` of a columnar ``trace`` through
     ``frontier``, mutating it in place (and returning it for chaining).
-    Exact continuation of the kernels' per-record semantics."""
+    Runs the loop of the frontier's kernel family, resolved as a module
+    global per call."""
     n = len(trace.opclass)
     if end is None:
         end = n
@@ -245,7 +247,7 @@ def advance(frontier: Frontier, trace, start: int = 0, end: Optional[int] = None
 
 def finalize(frontier: Frontier) -> AnalysisResult:
     """The :class:`AnalysisResult` of everything ``frontier`` has seen —
-    identical to running the kernels over the concatenated records. The
+    identical to one ``advance`` over the concatenated records. The
     frontier itself is left untouched (lifetime flushing works on copies),
     so a caller may finalize, keep advancing, and finalize again."""
     config = frontier.config
@@ -285,41 +287,74 @@ def finalize(frontier: Frontier) -> AnalysisResult:
     )
 
 
-# -- per-kernel resumable loops -----------------------------------------------
+# -- per-family resumable loops -----------------------------------------------
+
+
+def _window(column, start: int, end: int):
+    """``column[start:end]``, or the column itself when the range covers
+    all of it (the whole-trace path copies nothing)."""
+    if start == 0 and end == len(column):
+        return column
+    return column[start:end]
+
+
+def _operands(trace, start: int, end: int):
+    """``(src_counts, dest_counts, src_it, dest_it)`` for records
+    ``[start, end)``: the cached per-record operand arities plus plain
+    running iterators over the value columns, so the loops fetch each
+    operand with one C-speed ``next`` and no offset arithmetic."""
+    src_counts, dest_counts = trace.operand_counts()
+    src_offsets = trace.src_offsets
+    dest_offsets = trace.dest_offsets
+    return (
+        _window(src_counts, start, end),
+        _window(dest_counts, start, end),
+        iter(_window(trace.src_values, src_offsets[start], src_offsets[end])),
+        iter(_window(trace.dest_values, dest_offsets[start], dest_offsets[end])),
+    )
+
+
+def _fold_levels(fr: Frontier, levels: List[int], mark: int, deepest: int) -> None:
+    """Fold one range's placement levels into ``fr``: the placement count,
+    ``deepest`` (the loops only maintain it up to their last conservative
+    syscall; ``levels[mark:]`` are the placements since), and the profile
+    as one C-speed :class:`Counter` pass. Transient memory is O(range)."""
+    if len(levels) > mark:
+        since = max(levels[mark:])
+        if since > deepest:
+            deepest = since
+    fr.deepest = deepest
+    fr.placed += len(levels)
+    if fr.profile is not None:
+        fr.profile.update(levels)
 
 
 def _advance_dataflow(fr: Frontier, trace, start: int, end: int) -> None:
-    """Dataflow-limit continuation (see :func:`_kernel_dataflow`): the well
-    maps location -> level; per-chunk placements collect in a flat list and
-    fold into the frontier's profile and deepest at the chunk's edge, so
-    transient memory is O(chunk), never O(trace)."""
+    """Dataflow-limit loop: full renaming, no window, no resource limits,
+    no predictor, perfect disambiguation, no lifetimes. With storage
+    dependencies renamed away a well entry is just the level its value
+    became available at, so the well maps location -> level (plain ints):
+    sources only read it, destinations only overwrite it. One source and
+    one destination — the overwhelmingly common shapes — are unrolled, and
+    the syscall/branch tallies come from the trace census, not the loop."""
     latency = fr.latency
     conservative = fr.conservative
     syscall_top = latency[_SYSCALL]
-    src_counts, dest_counts = trace.operand_counts()
-
-    src_it = islice(iter(trace.src_values), trace.src_offsets[start], None)
-    dest_it = islice(iter(trace.dest_values), trace.dest_offsets[start], None)
-    conditional = FLAG_CONDITIONAL
+    src_counts, dest_counts, src_it, dest_it = _operands(trace, start, end)
 
     well = fr.well
     well_set = well.setdefault
     levels: List[int] = []
     append = levels.append
-    floor_m1 = fr.floor - 1
+    floor_m1 = fr.floor - 1  # floor - 1, the only form this loop needs
     deepest = fr.deepest
     mark = 0
-    syscalls = 0
-    firewalls = 0
-    branches = 0
 
-    for klass, flag, ns, nd in zip(
-        islice(iter(trace.opclass), start, end),
-        islice(iter(trace.flags), start, end),
-        islice(iter(src_counts), start, end),
-        islice(iter(dest_counts), start, end),
-    ):
+    for klass, ns, nd in zip(_window(trace.opclass, start, end), src_counts, dest_counts):
         if klass < _SYSCALL:
+            # Ordinary value-creating operation. A first-touch source
+            # enters the well at floor - 1 via setdefault, which can never
+            # raise the base, so no missing-key branch is needed.
             base = floor_m1
             if ns == 1:
                 level = well_set(next(src_it), floor_m1)
@@ -345,66 +380,51 @@ def _advance_dataflow(fr: Frontier, trace, start: int, end: int) -> None:
                 for _ in range(nd):
                     well[next(dest_it)] = level
         else:
+            # Control record or syscall: sources are never levels here,
+            # but the iterators must stay aligned with the class column.
             if ns == 1:
                 next(src_it)
             elif ns:
                 for _ in range(ns):
                     next(src_it)
-            if klass == _SYSCALL:
-                syscalls += 1
-                if conservative:
-                    if len(levels) > mark:
-                        since = max(levels[mark:])
-                        if since > deepest:
-                            deepest = since
-                    level = deepest + 1
-                    low = floor_m1 + syscall_top
-                    if low > level:
-                        level = low
-                    append(level)
-                    firewalls += 1
-                    deepest = level
-                    floor_m1 = level
-                    mark = len(levels)
-                    for _ in range(nd):
-                        well[next(dest_it)] = level
-                    continue
-            elif klass == _BRANCH and flag & conditional:
-                branches += 1
-            if nd:
+            if klass == _SYSCALL and conservative:
+                # Firewall immediately after the deepest computation; the
+                # call itself is placed there.
+                if len(levels) > mark:
+                    since = max(levels[mark:])
+                    if since > deepest:
+                        deepest = since
+                level = deepest + 1
+                low = floor_m1 + syscall_top
+                if low > level:
+                    level = low
+                append(level)
+                deepest = level
+                floor_m1 = level
+                mark = len(levels)
+                for _ in range(nd):
+                    well[next(dest_it)] = level
+            elif nd:
                 for _ in range(nd):
                     next(dest_it)
 
-    if len(levels) > mark:
-        since = max(levels[mark:])
-        if since > deepest:
-            deepest = since
+    syscalls, branches = trace.census(start, end)
     fr.floor = floor_m1 + 1
-    fr.deepest = deepest
     fr.records += end - start
-    fr.placed += len(levels)
     fr.syscalls += syscalls
-    fr.firewalls += firewalls
+    fr.firewalls += syscalls if conservative else 0
     fr.branches += branches
-    if fr.profile is not None and levels:
-        profile = fr.profile
-        profile_get = profile.get
-        for level, count in Counter(levels).items():
-            profile[level] = profile_get(level, 0) + count
+    _fold_levels(fr, levels, mark, deepest)
 
 
 def _advance_windowed(fr: Frontier, trace, start: int, end: int) -> None:
-    """The dataflow continuation plus the instruction-window ring (see
-    :func:`_kernel_windowed`); the ring and its cursor persist on the
-    frontier across chunk cuts."""
+    """The dataflow loop plus the contiguous instruction window (Figure 8
+    sweeps): a ring of completion levels whose displaced entry raises the
+    floor. The ring and its cursor persist on the frontier across cuts."""
     latency = fr.latency
     conservative = fr.conservative
     syscall_top = latency[_SYSCALL]
-    src_counts, dest_counts = trace.operand_counts()
-
-    src_it = islice(iter(trace.src_values), trace.src_offsets[start], None)
-    dest_it = islice(iter(trace.dest_values), trace.dest_offsets[start], None)
-    conditional = FLAG_CONDITIONAL
+    src_counts, dest_counts, src_it, dest_it = _operands(trace, start, end)
 
     window = fr.config.window_size
     ring = fr.ring
@@ -417,16 +437,8 @@ def _advance_windowed(fr: Frontier, trace, start: int, end: int) -> None:
     floor = fr.floor
     deepest = fr.deepest
     mark = 0
-    syscalls = 0
-    firewalls = 0
-    branches = 0
 
-    for klass, flag, ns, nd in zip(
-        islice(iter(trace.opclass), start, end),
-        islice(iter(trace.flags), start, end),
-        islice(iter(src_counts), start, end),
-        islice(iter(dest_counts), start, end),
-    ):
+    for klass, ns, nd in zip(_window(trace.opclass, start, end), src_counts, dest_counts):
         old = ring[ring_pos]
         if old is not None and old >= floor:
             floor = old + 1
@@ -464,7 +476,6 @@ def _advance_windowed(fr: Frontier, trace, start: int, end: int) -> None:
                 for _ in range(ns):
                     next(src_it)
             if klass == _SYSCALL and conservative:
-                syscalls += 1
                 if len(levels) > mark:
                     since = max(levels[mark:])
                     if since > deepest:
@@ -474,7 +485,6 @@ def _advance_windowed(fr: Frontier, trace, start: int, end: int) -> None:
                 if low > level:
                     level = low
                 append(level)
-                firewalls += 1
                 deepest = level
                 floor = level + 1
                 mark = len(levels)
@@ -482,10 +492,6 @@ def _advance_windowed(fr: Frontier, trace, start: int, end: int) -> None:
                     well[next(dest_it)] = level
                 ring[ring_pos] = level
             else:
-                if klass == _SYSCALL:
-                    syscalls += 1
-                elif klass == _BRANCH and flag & conditional:
-                    branches += 1
                 if nd:
                     for _ in range(nd):
                         next(dest_it)
@@ -494,39 +500,33 @@ def _advance_windowed(fr: Frontier, trace, start: int, end: int) -> None:
         if ring_pos == window:
             ring_pos = 0
 
-    if len(levels) > mark:
-        since = max(levels[mark:])
-        if since > deepest:
-            deepest = since
+    syscalls, branches = trace.census(start, end)
     fr.floor = floor
-    fr.deepest = deepest
     fr.ring_pos = ring_pos
     fr.records += end - start
-    fr.placed += len(levels)
     fr.syscalls += syscalls
-    fr.firewalls += firewalls
+    fr.firewalls += syscalls if conservative else 0
     fr.branches += branches
-    if fr.profile is not None and levels:
-        profile = fr.profile
-        profile_get = profile.get
-        for level, count in Counter(levels).items():
-            profile[level] = profile_get(level, 0) + count
+    _fold_levels(fr, levels, mark, deepest)
 
 
 def _advance_generic(fr: Frontier, trace, start: int, end: int) -> None:
-    """Full-semantics continuation (see :func:`_kernel_generic`): list-
-    valued well entries, WAR terms, predictor firewalls, resource
-    placement, conservative memory, inline lifetime accumulation. The
-    profile is a sparse dict (levels can reach critical-path length, and a
-    streaming pass must not allocate a dense O(depth) list per chunk)."""
+    """Full-semantics loop: list-valued well entries ``[level,
+    deepest_use, uses, preexisting]``, WAR terms for non-renamed
+    destinations, predictor firewalls, resource placement, conservative
+    memory, inline lifetime accumulation (flushed by :func:`finalize`).
+
+    Operands arrive through the same running iterators as the
+    specialized loops, with one- and two-source records unrolled; the
+    well entries the base computation fetched are kept for the
+    deepest-use update, so each source costs one dict lookup."""
     config = fr.config
-    segments = fr.segments
     latency = fr.latency
     rename_regs = config.rename_registers
     rename_stack = config.rename_stack
     rename_data = config.rename_data
     all_renamed = rename_regs and rename_stack and rename_data
-    stack_bound = MEM_BASE + segments.stack_floor
+    stack_bound = MEM_BASE + fr.segments.stack_floor
     conservative = fr.conservative
     syscall_top = latency[_SYSCALL]
     branch_top = latency[_BRANCH]
@@ -542,11 +542,7 @@ def _advance_generic(fr: Frontier, trace, start: int, end: int) -> None:
     mem_deepest_access = fr.mem_deepest_access
     conditional = FLAG_CONDITIONAL
     taken = FLAG_TAKEN
-
-    src_val = trace.src_values
-    dest_val = trace.dest_values
-    src_hi = islice(iter(trace.src_offsets), start + 1, end + 1)
-    dest_hi = islice(iter(trace.dest_offsets), start + 1, end + 1)
+    src_counts, dest_counts, src_it, dest_it = _operands(trace, start, end)
 
     window = config.window_size
     ring = fr.ring
@@ -554,32 +550,173 @@ def _advance_generic(fr: Frontier, trace, start: int, end: int) -> None:
 
     well = fr.well
     well_get = well.get
-    profile = fr.profile
-    profile_get = profile.get if profile is not None else None
-
+    levels: List[int] = []
+    append = levels.append
     never = NEVER_USED
     floor = fr.floor
     deepest = fr.deepest
-    placed = 0
+    mark = 0
     syscalls = 0
     firewalls = 0
     branches = 0
     mispredictions = 0
-    s_lo = trace.src_offsets[start]
-    d_lo = trace.dest_offsets[start]
 
-    for klass, flags, aux, s_hi, d_hi in zip(
-        islice(iter(trace.opclass), start, end),
-        islice(iter(trace.flags), start, end),
-        islice(iter(trace.aux), start, end),
-        src_hi,
-        dest_hi,
+    for klass, flags, aux, ns, nd in zip(
+        _window(trace.opclass, start, end),
+        _window(trace.flags, start, end),
+        _window(trace.aux, start, end),
+        src_counts,
+        dest_counts,
     ):
         if ring is not None:
             old = ring[ring_pos]
             if old is not None and old >= floor:
                 floor = old + 1
-        if klass >= _BRANCH:  # BRANCH / JUMP / NOP: not placed in the DDG
+
+        if klass < _SYSCALL:
+            # Ordinary value-creating operation.
+            top = latency[klass]
+            base = floor - 1
+            first_touch = base
+            if ns == 1:
+                src = next(src_it)
+                first = well_get(src)
+                if first is None:
+                    # First touch: a pre-existing value, created the level
+                    # before the topologically highest available level.
+                    first = well[src] = [first_touch, never, 0, True]
+                elif first[0] > base:
+                    base = first[0]
+            elif ns == 2:
+                src = next(src_it)
+                first = well_get(src)
+                if first is None:
+                    first = well[src] = [first_touch, never, 0, True]
+                elif first[0] > base:
+                    base = first[0]
+                src = next(src_it)
+                second = well_get(src)
+                if second is None:
+                    second = well[src] = [first_touch, never, 0, True]
+                elif second[0] > base:
+                    base = second[0]
+            elif ns:
+                entries = []
+                for src in islice(src_it, ns):
+                    entry = well_get(src)
+                    if entry is None:
+                        entry = well[src] = [first_touch, never, 0, True]
+                    elif entry[0] > base:
+                        base = entry[0]
+                    entries.append(entry)
+            level = base + top
+
+            if nd == 1:
+                dests = (next(dest_it),)
+            elif nd:
+                dests = tuple(islice(dest_it, nd))
+            else:
+                dests = ()
+            if not all_renamed:
+                for dest in dests:
+                    if dest < MEM_BASE:
+                        renamed = rename_regs
+                    elif dest >= stack_bound:
+                        renamed = rename_stack
+                    else:
+                        renamed = rename_data
+                    if not renamed:
+                        entry = well_get(dest)
+                        if entry is not None:
+                            war = entry[1] + 1
+                            if war > level:
+                                level = war
+
+            if conservative_mem:
+                # No alias analysis: a load depends on the last store as if
+                # it read the value it wrote; a store waits behind every
+                # earlier memory access it might conflict with.
+                if klass == _LOAD:
+                    if mem_store_level + top > level:
+                        level = mem_store_level + top
+                elif klass == _STORE:
+                    if mem_deepest_access + 1 > level:
+                        level = mem_deepest_access + 1
+
+            if resources is not None:
+                level = resources.place(klass, level)
+
+            append(level)
+            if conservative_mem and (klass == _LOAD or klass == _STORE):
+                if level > mem_deepest_access:
+                    mem_deepest_access = level
+                if klass == _STORE and level > mem_store_level:
+                    mem_store_level = level
+
+            if ns == 1:
+                if level > first[1]:
+                    first[1] = level
+                first[2] += 1
+            elif ns == 2:
+                if level > first[1]:
+                    first[1] = level
+                first[2] += 1
+                if level > second[1]:
+                    second[1] = level
+                second[2] += 1
+            elif ns:
+                for entry in entries:
+                    if level > entry[1]:
+                        entry[1] = level
+                    entry[2] += 1
+
+            for dest in dests:
+                if collect_lifetimes:
+                    old_entry = well_get(dest)
+                    if old_entry is not None and not old_entry[3]:
+                        uses = old_entry[2]
+                        life = old_entry[1] - old_entry[0] if uses else 0
+                        life_hist[life] = life_get(life, 0) + 1
+                        share_hist[uses] = share_get(uses, 0) + 1
+                well[dest] = [level, never, 0, False]
+            slot = level
+
+        elif klass == _SYSCALL:
+            syscalls += 1
+            for _ in range(ns):
+                next(src_it)
+            if conservative:
+                # Firewall immediately after the deepest computation; the
+                # call itself is placed there.
+                if len(levels) > mark:
+                    since = max(levels[mark:])
+                    if since > deepest:
+                        deepest = since
+                level = deepest + 1
+                low = floor - 1 + syscall_top
+                if low > level:
+                    level = low
+                firewalls += 1
+                append(level)
+                deepest = level
+                floor = level + 1
+                mark = len(levels)
+                for dest in islice(dest_it, nd):
+                    if collect_lifetimes:
+                        old_entry = well_get(dest)
+                        if old_entry is not None and not old_entry[3]:
+                            uses = old_entry[2]
+                            life = old_entry[1] - old_entry[0] if uses else 0
+                            life_hist[life] = life_get(life, 0) + 1
+                            share_hist[uses] = share_get(uses, 0) + 1
+                    well[dest] = [level, never, 0, False]
+                slot = level
+            else:
+                for _ in range(nd):
+                    next(dest_it)
+                slot = None
+
+        else:  # BRANCH / JUMP / NOP: not placed in the DDG
             if klass == _BRANCH and flags & conditional:
                 branches += 1
                 if predictor is not None:
@@ -587,147 +724,45 @@ def _advance_generic(fr: Frontier, trace, start: int, end: int) -> None:
                     predicted = predictor.predict(aux)
                     predictor.update(aux, actual)
                     if predicted != actual:
+                        # A misprediction firewalls at the branch's
+                        # resolution level.
                         mispredictions += 1
                         base = floor - 1
-                        for src in src_val[s_lo:s_hi]:
+                        for src in islice(src_it, ns):
                             entry = well_get(src)
                             if entry is not None and entry[0] > base:
                                 base = entry[0]
+                        ns = 0  # the sources are consumed
                         resolve = base + branch_top
                         if resolve > floor:
                             floor = resolve
                             firewalls += 1
-            if ring is not None:
-                ring[ring_pos] = None
-                ring_pos += 1
-                if ring_pos == window:
-                    ring_pos = 0
-            s_lo = s_hi
-            d_lo = d_hi
-            continue
-
-        if klass == _SYSCALL:
-            syscalls += 1
-            if not conservative:
-                if ring is not None:
-                    ring[ring_pos] = None
-                    ring_pos += 1
-                    if ring_pos == window:
-                        ring_pos = 0
-                s_lo = s_hi
-                d_lo = d_hi
-                continue
-            level = deepest + 1
-            low = floor - 1 + syscall_top
-            if low > level:
-                level = low
-            firewalls += 1
-            placed += 1
-            if profile is not None:
-                profile[level] = profile_get(level, 0) + 1
-            if level > deepest:
-                deepest = level
-            floor = level + 1
-            for dest in dest_val[d_lo:d_hi]:
-                old_entry = well_get(dest)
-                if collect_lifetimes and old_entry is not None and not old_entry[3]:
-                    uses = old_entry[2]
-                    life = old_entry[1] - old_entry[0] if uses else 0
-                    life_hist[life] = life_get(life, 0) + 1
-                    share_hist[uses] = share_get(uses, 0) + 1
-                well[dest] = [level, never, 0, False]
-            if ring is not None:
-                ring[ring_pos] = level
-                ring_pos += 1
-                if ring_pos == window:
-                    ring_pos = 0
-            s_lo = s_hi
-            d_lo = d_hi
-            continue
-
-        # Ordinary value-creating operation.
-        top = latency[klass]
-        base = floor - 1
-        first_touch = base
-        for src in src_val[s_lo:s_hi]:
-            entry = well_get(src)
-            if entry is None:
-                well[src] = [first_touch, never, 0, True]
-            elif entry[0] > base:
-                base = entry[0]
-        level = base + top
-
-        if not all_renamed:
-            for dest in dest_val[d_lo:d_hi]:
-                if dest < MEM_BASE:
-                    renamed = rename_regs
-                elif dest >= stack_bound:
-                    renamed = rename_stack
-                else:
-                    renamed = rename_data
-                if not renamed:
-                    entry = well_get(dest)
-                    if entry is not None:
-                        war = entry[1] + 1
-                        if war > level:
-                            level = war
-
-        if conservative_mem:
-            if klass == _LOAD:
-                if mem_store_level + top > level:
-                    level = mem_store_level + top
-            elif klass == _STORE:
-                if mem_deepest_access + 1 > level:
-                    level = mem_deepest_access + 1
-
-        if resources is not None:
-            level = resources.place(klass, level)
-
-        placed += 1
-        if profile is not None:
-            profile[level] = profile_get(level, 0) + 1
-        if level > deepest:
-            deepest = level
-        if conservative_mem and (klass == _LOAD or klass == _STORE):
-            if level > mem_deepest_access:
-                mem_deepest_access = level
-            if klass == _STORE and level > mem_store_level:
-                mem_store_level = level
-
-        for src in src_val[s_lo:s_hi]:
-            entry = well[src]
-            if level > entry[1]:
-                entry[1] = level
-            entry[2] += 1
-
-        for dest in dest_val[d_lo:d_hi]:
-            old_entry = well_get(dest)
-            if collect_lifetimes and old_entry is not None and not old_entry[3]:
-                uses = old_entry[2]
-                life = old_entry[1] - old_entry[0] if uses else 0
-                life_hist[life] = life_get(life, 0) + 1
-                share_hist[uses] = share_get(uses, 0) + 1
-            well[dest] = [level, never, 0, False]
+            if ns == 1:
+                next(src_it)
+            elif ns:
+                for _ in range(ns):
+                    next(src_it)
+            if nd:
+                for _ in range(nd):
+                    next(dest_it)
+            slot = None
 
         if ring is not None:
-            ring[ring_pos] = level
+            ring[ring_pos] = slot
             ring_pos += 1
             if ring_pos == window:
                 ring_pos = 0
-        s_lo = s_hi
-        d_lo = d_hi
 
     fr.floor = floor
-    fr.deepest = deepest
     fr.ring_pos = ring_pos
     fr.mem_store_level = mem_store_level
     fr.mem_deepest_access = mem_deepest_access
     fr.records += end - start
-    fr.placed += placed
     fr.syscalls += syscalls
     fr.firewalls += firewalls
     fr.branches += branches
     fr.mispredictions += mispredictions
+    _fold_levels(fr, levels, mark, deepest)
 
 
 # -- segment summaries and splicing -------------------------------------------
@@ -744,9 +779,9 @@ class SegmentSummary:
         count: records in the whole segment (prefix + suffix).
         prefix_count: records up to and including the first conservative
             syscall — the part the stitch pass replays in-process.
-        generic: True when well entries are the generic kernel's
+        generic: True when well entries are the generic loop's
             ``[level, deepest_use, uses, preexisting]`` lists (vs plain
-            level ints from the specialized kernels).
+            level ints from the specialized loops).
         floor: local floor after the suffix.
         deepest: local deepest placement (-1 when the suffix placed none).
         well: local live well (every location the suffix touched).
@@ -797,8 +832,9 @@ def summarize_segment(
     :func:`splice_eligible` and the manifest's ``first_syscall``."""
     if not splice_eligible(config):
         raise ValueError("configuration is not splice-eligible")
+    trace = as_columnar(trace)
     if segments is None:
-        segments = getattr(trace, "segments", DEFAULT_SEGMENTS)
+        segments = trace.segments
     ops = trace.opclass
     count = len(ops)
     cut = -1
@@ -903,11 +939,19 @@ def splice(fr: Frontier, summary: SegmentSummary) -> Frontier:
 # -- whole-trace entry points -------------------------------------------------
 
 
-def _as_columnar(trace):
+def as_columnar(trace, segments: Optional[SegmentMap] = None):
+    """``trace`` as a :class:`~repro.trace.columnar.ColumnarTrace`: as is
+    when it already is one, flattened once from a
+    :class:`~repro.trace.buffer.TraceBuffer`, and buffered first from any
+    other record iterable (under ``segments``, default
+    :data:`DEFAULT_SEGMENTS`)."""
+    from repro.trace.buffer import TraceBuffer
     from repro.trace.columnar import ColumnarTrace
 
     if isinstance(trace, ColumnarTrace):
         return trace
+    if not isinstance(trace, TraceBuffer):
+        trace = TraceBuffer(trace, segments or DEFAULT_SEGMENTS)
     return ColumnarTrace.from_buffer(trace)
 
 
@@ -923,7 +967,7 @@ def stream_analyze_trace(
     machinery is exercisable (and verifiable) without a file."""
     if chunk_records < 1:
         raise ValueError(f"chunk_records must be >= 1, got {chunk_records}")
-    columnar = _as_columnar(trace)
+    columnar = as_columnar(trace)
     if config is None:
         config = AnalysisConfig()
     if segments is None:
@@ -949,7 +993,7 @@ def shard_analyze_trace(
     ineligible configuration) advance the frontier directly, so the
     result is identical to whole-trace analysis for *every*
     configuration."""
-    columnar = _as_columnar(trace)
+    columnar = as_columnar(trace)
     if config is None:
         config = AnalysisConfig()
     if segments is None:

@@ -1,6 +1,6 @@
 """Vectorized (NumPy) placement kernels over columnar traces.
 
-The python kernels (:mod:`repro.core.kernels`) walk records one at a
+The python loops (:mod:`repro.core.stream`) walk records one at a
 time; at ~9 grids/s on the generic configuration that scan is the
 repo's hottest loop. This module evaluates the *same* placement rule —
 ``level = max(floor-1, sources..., WAR, memory) + top`` — over whole
@@ -25,14 +25,14 @@ level-frontier batches instead:
    live well all fall out of per-token ``bincount``/``maximum.at``
    reductions over the same index.
 
-Results are bit-identical to the python kernels for every *eligible*
+Results are bit-identical to the python loops for every *eligible*
 configuration — all renaming combinations, windows, both syscall
 policies, conservative memory disambiguation, lifetimes, profiles, and
 mid-stream :func:`advance_batch` continuation. Ineligible (and handed
 back to the python loops): branch predictors and constrained resource
 models, whose greedy per-record state has no batched formulation.
 NumPy itself is optional — with it absent :func:`available` is False
-and every caller falls back to the python kernels.
+and every caller falls back to the python loops.
 
 Tiny windows are a *performance* caveat, not a correctness one: a
 window of ``w`` caps blocks at ``w`` records, so ``w=1`` degenerates to
@@ -162,7 +162,7 @@ def _build_index(trace, conservative: bool, start: int, end: int) -> dict:
     (record ``start + r`` is ``r``); access ordinals are ``2r`` for reads
     and ``2r + 1`` for writes, so a record's reads bind strictly before
     its own writes and duplicate destinations keep slot order (the sort
-    is stable), matching the python kernels' read-then-overwrite order.
+    is stable), matching the python loops' read-then-overwrite order.
     """
     ops = _col(trace.opclass)[start:end]
     flags = _col(trace.flags)[start:end]
@@ -741,7 +741,7 @@ def _execute(trace, config: AnalysisConfig, segments: SegmentMap,
         else:
             # Whole trace: every write token flushes (base tokens are
             # preexisting first touches — never counted, matching the
-            # python kernels' entry[3] guard).
+            # python loops' entry[3] guard).
             life_hist: dict = {}
             share_hist: dict = {}
             if nwrites:
@@ -842,7 +842,7 @@ def analyze_vectorized(
 ) -> AnalysisResult:
     """One whole-trace analysis through the vectorized backend.
 
-    Bit-identical to :func:`repro.core.kernels.analyze_columnar` for
+    Bit-identical to :func:`repro.core.analyzer.analyze` for
     every :func:`eligible` configuration. Raises ``RuntimeError`` when
     NumPy is unavailable and ``ValueError`` for ineligible configs —
     callers that want graceful fallback route through

@@ -16,8 +16,8 @@ dest_offsets, dest_values  CSR-encoded destination-location lists
 ========  ====================================================================
 
 Record ``i``'s sources are ``src_values[src_offsets[i]:src_offsets[i+1]]``
-(likewise destinations), so the config-specialized kernels in
-:mod:`repro.core.kernels` scan plain machine integers with no per-record
+(likewise destinations), so the per-family analysis loops in
+:mod:`repro.core.stream` scan plain machine integers with no per-record
 allocation. The columnar form is buildable from a ``TraceBuffer``, decodable
 directly from PGT2 files (without materializing tuples), and packable
 into POSIX shared memory so the parallel engine's workers can attach the
@@ -36,15 +36,7 @@ from typing import Iterator, Optional, Tuple
 
 from repro.isa.opclasses import OpClass
 from repro.trace.buffer import TraceBuffer
-from repro.trace.io import (
-    _HEADER,
-    TraceFormatError,
-    _digest_hasher,
-    digest_records,
-    read_header,
-    read_trace_payload,
-    scan_columns_fast,
-)
+from repro.trace.io import digest_records, read_trace_payload, scan_columns_fast
 from repro.trace.record import FLAG_CONDITIONAL, TraceRecord
 from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
 
@@ -163,41 +155,6 @@ class ColumnarTrace:
         columns = scan_columns_fast(payload, count)
         return cls(*columns, segments, digest=digest)
 
-    @classmethod
-    def from_pgt2_mmap(cls, path) -> "ColumnarTrace":
-        """Decode a PGT2 trace file through a read-only memory map.
-
-        The record stream is never copied into an intermediate ``bytes``
-        object: the digest check and the column extraction both run over a
-        ``memoryview`` of the mapped file (NumPy, when present, gathers the
-        columns through zero-copy ``frombuffer`` views of that mapping).
-        The content digest is verified *before* any parsing, so a stale or
-        corrupted file raises :class:`~repro.trace.io.TraceFormatError`
-        loudly rather than yielding a partial trace. The returned columns
-        are ordinary owned arrays — the mapping is released before this
-        method returns, so the trace does not pin the file.
-        """
-        import mmap
-
-        with open(path, "rb") as stream:
-            segments, count, digest = read_header(stream)
-            mapped = mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ)
-        try:
-            payload = memoryview(mapped)[_HEADER.size:]
-            try:
-                hasher = _digest_hasher(segments, count)
-                hasher.update(payload)
-                if hasher.hexdigest() != digest:
-                    raise TraceFormatError(
-                        f"trace digest mismatch in {path}: file is stale or corrupted"
-                    )
-                columns = scan_columns_fast(payload, count)
-            finally:
-                payload.release()
-        finally:
-            mapped.close()
-        return cls(*columns, segments, digest=digest)
-
     # -- record views ------------------------------------------------------
 
     def __len__(self) -> int:
@@ -234,11 +191,13 @@ class ColumnarTrace:
             d_lo = d_hi
 
     def to_buffer(self) -> TraceBuffer:
-        """Materialize back to a tuple-per-record buffer (for consumers that
-        need ``.records``, e.g. the two-pass analyzer's reverse scan, or
-        analysis configs the specialized kernels do not cover).
+        """Materialize back to a tuple-per-record buffer, for the
+        tuple-scanning implementations that need ``.records``: the two-pass
+        analyzer's reverse scan, the readable reference, and the DDG
+        oracle. The production analyzer never calls this — every kernel
+        family scans the columns directly.
 
-        Memoized: repeated calls — e.g. several generic-config jobs against
+        Memoized: repeated calls — e.g. several tuple-scanning jobs against
         one shared-memory trace — pay the tuple materialization once.
         """
         if self._buffer is None:
@@ -254,28 +213,40 @@ class ColumnarTrace:
             self._digest = digest_records(self.segments, len(self), iter(self))
         return self._digest
 
-    def census(self) -> Tuple[int, int]:
-        """``(syscalls, conditional_branches)`` for this trace.
+    def census(self, start: int = 0, end: Optional[int] = None) -> Tuple[int, int]:
+        """``(syscalls, conditional_branches)`` over records ``[start,
+        end)`` (default: the whole trace).
 
         Both are pure trace statistics — independent of any analysis
-        configuration — so they are computed once and cached; the analysis
-        kernels read them here instead of testing every record's class and
-        flags in their hot loops. Across a config grid the single counting
-        pass amortizes to nothing.
+        configuration — so the dataflow and windowed loops read them here
+        instead of testing every record's flags in their hot loops. The
+        whole-trace census is computed once and cached; across a config
+        grid the single counting pass amortizes to nothing.
         """
-        if self._census is None:
-            syscalls = 0
-            conditional_branches = 0
-            conditional = FLAG_CONDITIONAL
-            syscall = _SYSCALL
-            branch = _BRANCH
-            for klass, flag in zip(self.opclass, self.flags):
-                if klass == syscall:
-                    syscalls += 1
-                elif klass == branch and flag & conditional:
-                    conditional_branches += 1
+        count = len(self.opclass)
+        if end is None:
+            end = count
+        whole = start == 0 and end == count
+        if whole and self._census is not None:
+            return self._census
+        syscalls = 0
+        conditional_branches = 0
+        conditional = FLAG_CONDITIONAL
+        syscall = _SYSCALL
+        branch = _BRANCH
+        opclass = self.opclass
+        flags = self.flags
+        if not whole:
+            opclass = opclass[start:end]
+            flags = flags[start:end]
+        for klass, flag in zip(opclass, flags):
+            if klass == syscall:
+                syscalls += 1
+            elif klass == branch and flag & conditional:
+                conditional_branches += 1
+        if whole:
             self._census = (syscalls, conditional_branches)
-        return self._census
+        return syscalls, conditional_branches
 
     def operand_counts(self) -> Tuple:
         """``(src_counts, dest_counts)``: per-record operand arities.

@@ -10,14 +10,17 @@ path); worker processes would import the unmutated modules.
 
 Mutations:
 
-- ``kernel-load-skew`` — every columnar kernel places loads one level too
-  deep (the canonical off-by-one: the real kernel runs with the LOAD
+- ``kernel-load-skew`` — every kernel family's loop
+  (``stream._advance_{dataflow,windowed,generic}``) places loads one
+  level too deep (the canonical off-by-one: the loop runs with the LOAD
   latency raised by one, which perturbs exactly the load placement term
-  of the rule). Caught by the ``columnar`` vs ``legacy`` differential
-  whenever a load is at or feeds the critical path.
-- ``legacy-war-loss`` — the streaming analyzer forgets write-after-read
-  constraints (it analyzes as if every storage class were renamed).
-  Caught on any case with renaming off and a binding WAR hazard.
+  of the rule). ``forward``, ``stream`` and ``sharded`` all run these
+  loops, so the bug is caught by the ``reference``/``twopass``/``oracle``
+  differentials whenever a load is at or feeds the critical path.
+- ``legacy-war-loss`` — the generic loop (``stream._advance_generic``,
+  the only one with WAR terms) forgets write-after-read constraints: it
+  runs as if every storage class were renamed. Caught on any case with
+  renaming off and a binding WAR hazard.
 - ``stream-splice-skew`` — the shard stitch grafts segment summaries one
   level too shallow (``offset = floor - 1`` instead of the true floor at
   the cut). Caught by the exact-vs-sharded invariant on any case whose
@@ -28,12 +31,13 @@ Mutations:
   cross-backend differential (``verify --focus backend``) on any case
   where a block-leading record's placement binds on the floor. A no-op
   when NumPy is absent — the backend falls back to the (unmutated)
-  python kernels, so no-numpy environments must skip this self-test.
+  python loops, so no-numpy environments must skip this self-test.
 
-Both patch through module attributes that the call sites late-bind
-(``kernels._dispatch`` resolves ``_kernel_*`` as globals per call;
-:data:`repro.engine.jobs.METHODS` wrappers fetch ``analyzer.analyze`` per
-call), so no reload tricks are needed.
+Every patch goes through a module attribute that its call site
+late-binds (``stream.advance`` resolves ``_advance_*`` as globals per
+call, the shard stitch looks up ``stream.splice``, and ``vkernels``
+resolves ``_seed_frontier_batch`` per block), so no reload tricks are
+needed.
 """
 
 from __future__ import annotations
@@ -41,65 +45,65 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import replace
 
-from repro.core.config import AnalysisConfig
 from repro.isa.opclasses import OpClass
 
-
-def _deepened_loads(config: AnalysisConfig) -> AnalysisConfig:
-    latency = config.latency
-    return config.derive(
-        latency=latency.with_overrides(LOAD=latency.steps[OpClass.LOAD] + 1)
-    )
+_LOOPS = ("_advance_dataflow", "_advance_windowed", "_advance_generic")
 
 
 @contextmanager
-def mutate_kernel_load_skew():
-    """Columnar kernels place every load one level too deep."""
-    from repro.core import kernels
-
-    originals = {
-        name: getattr(kernels, name)
-        for name in ("_kernel_dataflow", "_kernel_windowed", "_kernel_generic")
-    }
-
-    def wrap(original):
-        def mutant(trace, config, *rest):
-            result = original(trace, _deepened_loads(config), *rest)
-            result.config = config  # report under the requested config
-            return result
-
-        return mutant
-
+def _patched(module, names, wrap):
+    """Replace each ``module.<name>`` by ``wrap(original)`` for the block."""
+    originals = {name: getattr(module, name) for name in names}
     for name, original in originals.items():
-        setattr(kernels, name, wrap(original))
+        setattr(module, name, wrap(original))
     try:
         yield
     finally:
         for name, original in originals.items():
-            setattr(kernels, name, original)
+            setattr(module, name, original)
+
+
+@contextmanager
+def mutate_kernel_load_skew():
+    """Every kernel family's loop places every load one level too deep."""
+    from repro.core import stream
+
+    def wrap(original):
+        def mutant(fr, trace, start, end):
+            latency = fr.latency
+            fr.latency = list(latency)
+            fr.latency[OpClass.LOAD] += 1
+            try:
+                original(fr, trace, start, end)
+            finally:
+                fr.latency = latency
+
+        return mutant
+
+    with _patched(stream, _LOOPS, wrap):
+        yield
 
 
 @contextmanager
 def mutate_legacy_war_loss():
-    """The streaming analyzer drops all write-after-read constraints."""
-    from repro.core import analyzer
+    """The generic loop drops all write-after-read constraints."""
+    from repro.core import stream
 
-    original = analyzer.analyze
+    def wrap(original):
+        def mutant(fr, trace, start, end):
+            config = fr.config
+            fr.config = replace(
+                config, rename_registers=True, rename_stack=True, rename_data=True
+            )
+            try:
+                original(fr, trace, start, end)
+            finally:
+                fr.config = config
 
-    def mutant(trace, config=None, segments=None):
-        requested = config if config is not None else AnalysisConfig()
-        bare = replace(
-            requested, rename_registers=True, rename_stack=True, rename_data=True
-        )
-        result = original(trace, bare, segments)
-        result.config = requested
-        return result
+        return mutant
 
-    analyzer.analyze = mutant
-    try:
+    with _patched(stream, ("_advance_generic",), wrap):
         yield
-    finally:
-        analyzer.analyze = original
 
 
 @contextmanager
@@ -107,17 +111,15 @@ def mutate_stream_splice_skew():
     """The shard stitch splices summaries one level too shallow."""
     from repro.core import stream
 
-    original = stream.splice
+    def wrap(original):
+        def mutant(fr, summary):
+            fr.floor -= 1  # corrupt the cut offset the splice algebra relies on
+            return original(fr, summary)
 
-    def mutant(fr, summary):
-        fr.floor -= 1  # corrupt the cut offset the splice algebra relies on
-        return original(fr, summary)
+        return mutant
 
-    stream.splice = mutant
-    try:
+    with _patched(stream, ("splice",), wrap):
         yield
-    finally:
-        stream.splice = original
 
 
 @contextmanager
@@ -125,16 +127,14 @@ def mutate_vkernel_batch_skew():
     """The vectorized backend's seeding skips each batch's first record."""
     from repro.core import vkernels
 
-    original = vkernels._seed_frontier_batch
+    def wrap(original):
+        def mutant(C, recs, base):
+            original(C, recs[1:], base[1:])
 
-    def mutant(C, recs, base):
-        original(C, recs[1:], base[1:])
+        return mutant
 
-    vkernels._seed_frontier_batch = mutant
-    try:
+    with _patched(vkernels, ("_seed_frontier_batch",), wrap):
         yield
-    finally:
-        vkernels._seed_frontier_batch = original
 
 
 MUTATIONS = {

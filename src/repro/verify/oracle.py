@@ -1,6 +1,6 @@
 """Reference oracle: explicit DDG edges + topological longest path.
 
-The production analyzers (streaming, columnar kernels, two-pass) all
+The production analyzers (the per-family loops, two-pass) all
 compute placement levels *incrementally* with a live well: each record's
 level is final the moment it is scanned, using running ``floor`` /
 ``deepest`` scalars. This oracle deliberately does neither. It makes two

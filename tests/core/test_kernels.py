@@ -1,11 +1,11 @@
-"""Columnar kernels: dispatch rules and cross-validation.
+"""Kernel families: selection rules and cross-validation.
 
-The columnar kernels are a third independent implementation of the
-placement semantics; every test here pins them field-for-field against the
-legacy streaming analyzer and the readable reference over the same traces
-and configurations — including the routed entry point (``analyze`` handed a
-``ColumnarTrace``), so the per-config representation choice can never
-change results.
+``analyze`` runs one resumable loop per kernel family over a columnar
+trace; every test here pins it field-for-field against the readable
+reference over the same traces and configurations, for both input
+representations (a ``ColumnarTrace`` analyzed as is, a ``TraceBuffer``
+flattened first), so neither the family choice nor the representation can
+ever change results — and no family ever falls back to tuple records.
 """
 
 import pytest
@@ -17,7 +17,6 @@ from repro.core.kernels import (
     KERNEL_DATAFLOW,
     KERNEL_GENERIC,
     KERNEL_WINDOWED,
-    analyze_columnar,
     select_kernel,
 )
 from repro.core.latency import LatencyTable
@@ -49,17 +48,13 @@ def assert_same_result(fast, slow):
 
 
 def cross_validate(buffer, config):
-    """One trace, one config, four ways: legacy, columnar kernel, routed
-    columnar, readable reference — all identical."""
-    columnar = ColumnarTrace.from_buffer(buffer)
-    legacy = analyze(buffer, config)
-    kernel = analyze_columnar(columnar, config)
-    routed = analyze(columnar, config)
-    reference = reference_analyze(buffer, config)
-    assert_same_result(kernel, legacy)
-    assert_same_result(routed, legacy)
-    assert_same_result(kernel, reference)
-    return kernel
+    """One trace, one config, three ways: ``analyze`` on the columnar
+    trace, ``analyze`` on the buffer, and the readable reference — all
+    identical."""
+    columnar = analyze(ColumnarTrace.from_buffer(buffer), config)
+    assert_same_result(columnar, analyze(buffer, config))
+    assert_same_result(columnar, reference_analyze(buffer, config))
+    return columnar
 
 
 class TestSelectKernel:
@@ -92,9 +87,9 @@ class TestSelectKernel:
         assert select_kernel(config) == KERNEL_DATAFLOW
 
 
-#: The deterministic config grid the issue prescribes: renaming lattice x
-#: window x syscall policy x memory disambiguation (plus lifetimes and a
-#: predictor, which exercise the generic kernel's remaining features).
+#: The deterministic config grid: renaming lattice x window x syscall
+#: policy x memory disambiguation (plus lifetimes and a predictor, which
+#: exercise the generic loop's remaining features).
 CONFIG_GRID = [
     AnalysisConfig(syscall_policy=policy, window_size=window, **extra)
     for policy in ("conservative", "optimistic")
@@ -151,15 +146,42 @@ class TestKernelCrossValidation:
             collect_profile=st.booleans(),
         ),
     )
-    def test_property_columnar_matches_legacy(self, trace, config):
-        columnar = ColumnarTrace.from_buffer(trace)
-        assert_same_result(analyze_columnar(columnar, config), analyze(trace, config))
+    def test_property_columnar_matches_buffer_and_reference(self, trace, config):
+        cross_validate(trace, config)
+
+
+class TestNoTupleMaterialization:
+    """Every kernel family scans the columns directly: a columnar trace is
+    never materialized back to tuple records on the analysis path."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            AnalysisConfig(),
+            AnalysisConfig(window_size=16),
+            AnalysisConfig.no_renaming(),
+            AnalysisConfig(collect_lifetimes=True, branch_predictor="bimodal"),
+        ],
+        ids=["dataflow", "windowed", "generic", "generic-lifetimes-predictor"],
+    )
+    def test_analyze_never_calls_to_buffer(self, config, monkeypatch):
+        buffer = random_trace(seed=8, length=300, syscall_fraction=0.03)
+        expected = reference_analyze(buffer, config)
+        columnar = ColumnarTrace.from_buffer(buffer)
+        columnar._buffer = None  # no free round trip to hide behind
+
+        def refuse(self):
+            raise AssertionError("analysis materialized tuple records")
+
+        monkeypatch.setattr(ColumnarTrace, "to_buffer", refuse)
+        assert_same_result(analyze(columnar, config), expected)
 
 
 class TestWindowedMispredictionFirewall:
     """Regression: the window ring displacement and a misprediction-raised
     floor race each other — whichever constraint lands deeper must win,
-    identically in the reference, the legacy analyzer, and the kernels."""
+    identically in the reference and the generic loop, on either input
+    representation."""
 
     @staticmethod
     def crafted_trace():

@@ -123,8 +123,6 @@ class TestMethods:
         assert set(METHODS) == {
             "forward",
             "twopass",
-            "legacy",
-            "columnar",
             "vkernel",
             "reference",
             "oracle",
@@ -137,10 +135,8 @@ class TestMethods:
         "method,columnar",
         [
             ("forward", True),
-            ("columnar", True),
             ("vkernel", True),
             ("twopass", False),
-            ("legacy", False),
             ("reference", False),
             ("oracle", False),
             ("stream", True),
@@ -153,7 +149,7 @@ class TestMethods:
 
     @pytest.mark.parametrize(
         "method",
-        ["forward", "twopass", "legacy", "columnar", "reference", "stream", "sharded"],
+        ["forward", "twopass", "vkernel", "reference", "stream", "sharded"],
     )
     def test_all_methods_agree_on_either_representation(self, method):
         """Every method accepts both trace representations via job.run and
@@ -216,7 +212,7 @@ class TestJobBackend:
         assert "numpy" not in AnalysisJob("cc1x", 100).describe()
 
     @pytest.mark.parametrize(
-        "method", ["forward", "columnar", "stream", "sharded", "legacy", "twopass"]
+        "method", ["forward", "stream", "sharded", "twopass", "reference"]
     )
     def test_run_identical_across_backends(self, method):
         """backend="numpy" never changes a job's result — backend-aware

@@ -95,6 +95,9 @@ class TestCensus:
         builder.syscall()
         trace = ColumnarTrace.from_buffer(builder.build())
         assert trace.census() == (2, 2)
+        assert trace.census(2, 5) == (0, 2)
+        assert trace.census(1, 2) == (1, 0)
+        assert trace.census(3, 3) == (0, 0)
 
     def test_matches_record_scan(self, buffer, columnar):
         syscalls = sum(1 for r in buffer.records if r[0] == int(OpClass.SYSCALL))

@@ -1,12 +1,14 @@
-"""Zero-copy PGT2 decode: mmap == buffered, byte for byte, or a loud error.
+"""PGT2 decode: mmap == buffered, byte for byte, or a loud error.
 
-``ColumnarTrace.from_pgt2_mmap`` decodes through a read-only memory map
-and (when NumPy is present) vectorized u32 column gathers instead of the
-per-record python scan. The decode path is not allowed to be a semantics
-knob any more than the analysis backend is: every column must come out
-identical to the buffered reference decode on every workload, and a
-truncated or corrupted file must raise :class:`TraceFormatError` before
-any partial trace escapes.
+Two decoders turn a PGT2 file into columns: the buffered
+``ColumnarTrace.from_file`` (one read, then ``scan_columns_fast``) and the
+chunked reader ``iter_chunks``, which walks a read-only memory map. Both
+use vectorized u32 column gathers when NumPy is present and the
+per-record python scan otherwise. The decode path is not allowed to be a
+semantics knob any more than the analysis backend is: every column must
+come out identical across decoders on every workload, with or without
+NumPy, and a truncated or corrupted file must raise
+:class:`TraceFormatError` before any partial trace escapes.
 """
 
 import pytest
@@ -14,10 +16,10 @@ import pytest
 from repro.core.analyzer import analyze
 from repro.core.config import AnalysisConfig
 from repro.trace import io as trace_io
+from repro.trace.chunked import iter_chunks
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import TraceFormatError, write_trace_file
 from repro.trace.synthetic import TraceBuilder, random_trace
-from repro.workloads.suite import all_workloads
 
 COLUMNS = (
     "opclass",
@@ -39,6 +41,12 @@ def assert_same_columns(left: ColumnarTrace, right: ColumnarTrace):
     assert left.digest() == right.digest()
 
 
+def mmap_decode(path) -> ColumnarTrace:
+    """The whole file decoded as one chunk of the mmap-backed reader."""
+    (chunk,) = iter_chunks(path, 1 << 30)
+    return chunk
+
+
 def write_tmp(tmp_path, trace, name="t.pgt"):
     path = tmp_path / name
     write_trace_file(path, trace)
@@ -51,7 +59,7 @@ class TestMmapMatchesBuffered:
         trace = random_trace(seed=seed, length=500, syscall_fraction=0.05)
         path = write_tmp(tmp_path, trace, f"r{seed}.pgt")
         assert_same_columns(
-            ColumnarTrace.from_pgt2_mmap(path), ColumnarTrace.from_file(path)
+            mmap_decode(path), ColumnarTrace.from_file(path)
         )
 
     def test_every_suite_workload(self, tmp_path, workload_traces):
@@ -60,19 +68,18 @@ class TestMmapMatchesBuffered:
         for name, trace in workload_traces.items():
             path = write_tmp(tmp_path, trace, f"{name}.pgt")
             assert_same_columns(
-                ColumnarTrace.from_pgt2_mmap(path), ColumnarTrace.from_file(path)
+                mmap_decode(path), ColumnarTrace.from_file(path)
             )
 
     def test_empty_trace(self, tmp_path):
         path = write_tmp(tmp_path, TraceBuilder().build())
-        trace = ColumnarTrace.from_pgt2_mmap(path)
-        assert len(trace) == 0
-        assert_same_columns(trace, ColumnarTrace.from_file(path))
+        assert list(iter_chunks(path)) == []
+        assert len(ColumnarTrace.from_file(path)) == 0
 
     def test_decoded_trace_analyzes_identically(self, tmp_path):
         buffer = random_trace(seed=9, length=400, syscall_fraction=0.03)
         path = write_tmp(tmp_path, buffer)
-        via_mmap = analyze(ColumnarTrace.from_pgt2_mmap(path), AnalysisConfig())
+        via_mmap = analyze(mmap_decode(path), AnalysisConfig())
         via_file = analyze(ColumnarTrace.from_file(path), AnalysisConfig())
         assert via_mmap.critical_path_length == via_file.critical_path_length
         assert via_mmap.placed_operations == via_file.placed_operations
@@ -82,10 +89,10 @@ class TestMmapMatchesBuffered:
         python reference scan — same columns, same digest check."""
         trace = random_trace(seed=4, length=300, syscall_fraction=0.05)
         path = write_tmp(tmp_path, trace)
-        with_numpy = ColumnarTrace.from_pgt2_mmap(path)
+        with_numpy = ColumnarTrace.from_file(path)
         monkeypatch.setattr(trace_io, "_np", None)
-        assert_same_columns(ColumnarTrace.from_pgt2_mmap(path), with_numpy)
         assert_same_columns(ColumnarTrace.from_file(path), with_numpy)
+        assert_same_columns(mmap_decode(path), with_numpy)
 
 
 class TestLoudErrors:
@@ -100,26 +107,26 @@ class TestLoudErrors:
         data = good_file.read_bytes()
         good_file.write_bytes(data[: len(data) // 2])
         with pytest.raises(TraceFormatError):
-            ColumnarTrace.from_pgt2_mmap(good_file)
+            ColumnarTrace.from_file(good_file)
 
     def test_corrupt_payload_fails_digest(self, good_file):
         data = bytearray(good_file.read_bytes())
         data[len(data) // 2] ^= 0xFF
         good_file.write_bytes(bytes(data))
         with pytest.raises(TraceFormatError, match="stale or corrupted"):
-            ColumnarTrace.from_pgt2_mmap(good_file)
+            ColumnarTrace.from_file(good_file)
 
     def test_trailing_garbage_fails_digest(self, good_file):
         good_file.write_bytes(good_file.read_bytes() + b"\x00" * 16)
         with pytest.raises(TraceFormatError):
-            ColumnarTrace.from_pgt2_mmap(good_file)
+            ColumnarTrace.from_file(good_file)
 
     def test_bad_magic(self, good_file):
         data = bytearray(good_file.read_bytes())
         data[:4] = b"NOPE"
         good_file.write_bytes(bytes(data))
         with pytest.raises(TraceFormatError, match="bad magic"):
-            ColumnarTrace.from_pgt2_mmap(good_file)
+            ColumnarTrace.from_file(good_file)
 
     def test_corrupt_python_fallback_also_loud(self, good_file, monkeypatch):
         data = bytearray(good_file.read_bytes())
@@ -127,7 +134,7 @@ class TestLoudErrors:
         good_file.write_bytes(bytes(data))
         monkeypatch.setattr(trace_io, "_np", None)
         with pytest.raises(TraceFormatError):
-            ColumnarTrace.from_pgt2_mmap(good_file)
+            ColumnarTrace.from_file(good_file)
 
 
 class TestScanColumnsFast:

@@ -74,7 +74,7 @@ class TestBackendFocusPlan:
         methods = {tag: method for tag, method, _ in plan}
         for tag in np_tags:
             assert methods[tag] == "vkernel"
-            assert methods[tag[:-3] + ":py"] == "columnar"
+            assert methods[tag[:-3] + ":py"] == "forward"
 
     def test_resource_configs_keep_only_the_case_diff(self):
         """Constrained resources are backend-ineligible, so the chains
@@ -234,7 +234,7 @@ class TestMutations:
         """The cross-backend differential must catch an off-by-one in the
         vectorized backend's frontier batch seeding. Meaningless without
         NumPy — the mutated seeding never runs when the backend falls
-        back to the python kernels."""
+        back to the python loops."""
         from repro.core import vkernels
 
         if not vkernels.available():
