@@ -2,9 +2,8 @@
 instruction analysis on a DECstation 3100; these measure our stack).
 
 The ``test_analyze_throughput_*`` rows time the production analyzer, one
-row per kernel family, on the same 100k-record espressox columnar trace
-(the ``test_vkernel_*`` rows are their NumPy twins); the committed
-baseline numbers live in ``benchmarks/BENCH_throughput.json``. To refresh
+row per kernel family, on the same 100k-record espressox columnar trace;
+the committed baseline numbers live in ``benchmarks/BENCH_throughput.json``. To refresh
 it after kernel work::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_throughput.py \\
@@ -15,7 +14,6 @@ import resource
 
 import pytest
 
-from repro.core import vkernels
 from repro.core.analyzer import analyze
 from repro.core.config import AnalysisConfig
 from repro.core.stream import stream_analyze_file
@@ -24,19 +22,6 @@ from repro.engine import ExperimentEngine
 from repro.engine.shards import shard_analyze_file
 from repro.trace.columnar import ColumnarTrace
 from repro.workloads.suite import load_workload
-
-requires_numpy = pytest.mark.skipif(
-    not vkernels.available(), reason="NumPy is not installed"
-)
-
-
-def _tag_backend(benchmark, backend, kernel, gate=None):
-    """Stable metadata keys check_regression.py selects rows by."""
-    benchmark.extra_info["backend"] = backend
-    benchmark.extra_info["kernel"] = kernel
-    if gate:
-        benchmark.extra_info["gate"] = gate
-
 
 @pytest.fixture(scope="module")
 def bench_trace(store):
@@ -54,38 +39,16 @@ def bench_columnar(store):
 
 def test_analyze_throughput_dataflow(benchmark, bench_columnar):
     result = benchmark(analyze, bench_columnar, AnalysisConfig())
-    _tag_backend(benchmark, "python", "dataflow")
     assert result.records_processed == 100_000
 
 
 def test_analyze_throughput_windowed(benchmark, bench_columnar):
     result = benchmark(analyze, bench_columnar, AnalysisConfig(window_size=1024))
-    _tag_backend(benchmark, "python", "windowed")
     assert result.records_processed == 100_000
 
 
 def test_analyze_throughput_generic(benchmark, bench_columnar):
     result = benchmark(analyze, bench_columnar, AnalysisConfig.no_renaming())
-    _tag_backend(benchmark, "python", "generic")
-    assert result.records_processed == 100_000
-
-
-@requires_numpy
-def test_vkernel_throughput_dataflow(benchmark, bench_columnar):
-    """Informational numpy twin of the dataflow row (espressox's deep
-    dependence chains bound the frontier, so the speedup here is modest)."""
-    vkernels.analyze_vectorized(bench_columnar, AnalysisConfig())  # warm index
-    result = benchmark(analyze, bench_columnar, AnalysisConfig(), backend="numpy")
-    _tag_backend(benchmark, "numpy", "dataflow")
-    assert result.records_processed == 100_000
-
-
-@requires_numpy
-def test_vkernel_throughput_generic(benchmark, bench_columnar):
-    result = benchmark(
-        analyze, bench_columnar, AnalysisConfig.no_renaming(), backend="numpy"
-    )
-    _tag_backend(benchmark, "numpy", "generic")
     assert result.records_processed == 100_000
 
 
@@ -94,42 +57,6 @@ def test_columnar_decode_from_file(benchmark, store, bench_trace):
     trace = benchmark(ColumnarTrace.from_file, path)
     benchmark.extra_info["decode"] = "buffered"
     assert len(trace) == 100_000
-
-
-# --- backend gate -------------------------------------------------------------
-# The same generic-family analysis (matrix300x@100k, registers and stack
-# renamed — a wide-frontier numeric workload) on both backends in the same
-# run, through ``analyze`` — the path production runs.
-# check_regression.py --backend-gate finds these two rows by their
-# extra_info keys and fails CI if the numpy backend has lost its >= 5x
-# throughput edge; machine speed cancels out of the same-run ratio.
-
-
-@pytest.fixture(scope="module")
-def gate_columnar(store):
-    trace = store.columnar("matrix300x", 100_000)
-    trace.census()
-    trace.operand_counts()
-    return trace
-
-
-GATE_CONFIG = AnalysisConfig.registers_and_stack_renamed()
-
-
-def test_backend_gate_python(benchmark, gate_columnar):
-    result = benchmark(analyze, gate_columnar, GATE_CONFIG)
-    _tag_backend(benchmark, "python", "generic", gate="backend")
-    assert result.records_processed == 100_000
-
-
-@requires_numpy
-def test_backend_gate_numpy(benchmark, gate_columnar):
-    # Warm the access-stream index: it is cached per trace (like census
-    # above), so steady-state runs never pay it per analysis.
-    vkernels.analyze_vectorized(gate_columnar, GATE_CONFIG)
-    result = benchmark(analyze, gate_columnar, GATE_CONFIG, backend="numpy")
-    _tag_backend(benchmark, "numpy", "generic", gate="backend")
-    assert result.records_processed == 100_000
 
 
 # --- streaming vs in-memory -------------------------------------------------

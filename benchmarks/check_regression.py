@@ -20,12 +20,6 @@ out and the ratios are stable enough to gate on:
 - ``--stream-gate`` compares the streaming and pool-sharded pipelines
   against the in-memory pipeline within the same fresh run; a ratio past
   the overhead bounds exits non-zero and fails CI.
-- ``--backend-gate`` compares the python and numpy analysis backends over
-  the same generic-kernel workload within the same fresh run, selecting
-  the two rows by their stable ``extra_info`` metadata keys
-  (``backend``/``kernel``/``gate``); a numpy speedup under the bound
-  exits non-zero, and missing rows exit 2 with a pointer at the command
-  that produces them.
 """
 
 from __future__ import annotations
@@ -39,11 +33,11 @@ class MetricsFormatError(Exception):
     """A benchmark JSON file is missing a key this script needs."""
 
 
-def load_benchmarks(path: str) -> list:
-    """``(name, mean, extra_info)`` per row, with loud format errors."""
+def load_means(path: str) -> dict:
+    """``{name: mean}`` per benchmark row, with loud format errors."""
     with open(path) as handle:
         data = json.load(handle)
-    rows = []
+    means = {}
     for position, bench in enumerate(data.get("benchmarks", [])):
         try:
             name = bench["name"]
@@ -56,13 +50,8 @@ def load_benchmarks(path: str) -> list:
                 f"{path}: benchmark {label!r} has no 'stats'/'mean' metric "
                 "(is this pytest-benchmark JSON?)"
             ) from error
-        extra = bench.get("extra_info")
-        rows.append((name, mean, extra if isinstance(extra, dict) else {}))
-    return rows
-
-
-def load_means(path: str) -> dict:
-    return {name: mean for name, mean, _ in load_benchmarks(path)}
+        means[name] = mean
+    return means
 
 
 #: Same-run ratio bounds for --stream-gate. Local quiet-machine ratios are
@@ -113,55 +102,6 @@ def stream_gate(fresh: dict) -> int:
     return 1 if failed else 0
 
 
-#: Minimum same-run python/numpy speedup for --backend-gate. The gate pair
-#: (matrix300x@100k, registers and stack renamed, generic kernel) ran ~7x
-#: against the former columnar generic kernel; against ``analyze``, the
-#: generic loop production runs, it reads ~3.9x on a 2-core Xeon @ 2.10GHz,
-#: under this bound (ROADMAP item 4 decides the backend's future). 5x
-#: catches a structural loss (a de-vectorized hot path, an accidental
-#: per-record fallback, an index rebuilt per run).
-BACKEND_GATE_BACKENDS = ("python", "numpy")
-BACKEND_GATE_MIN_SPEEDUP = 5.0
-
-
-def backend_gate(rows) -> int:
-    """Gate the numpy backend's throughput edge on the same-run ratio of
-    the two ``extra_info``-tagged gate rows; returns an exit code
-    (0 ok, 1 regression, 2 missing rows)."""
-    gates = {}
-    for name, mean, info in rows:
-        if info.get("gate") == "backend" and info.get("backend"):
-            gates[info["backend"]] = (name, mean)
-    missing = sorted(b for b in BACKEND_GATE_BACKENDS if b not in gates)
-    if missing:
-        print(
-            "check_regression: --backend-gate found no row tagged "
-            f"extra_info gate='backend' for backend(s) {missing} in the "
-            "fresh results; run bench_throughput.py -k backend_gate with "
-            "NumPy installed to produce both gate rows",
-            file=sys.stderr,
-        )
-        return 2
-    py_name, py_mean = gates["python"]
-    np_name, np_mean = gates["numpy"]
-    speedup = py_mean / np_mean if np_mean else 0.0
-    ok = speedup >= BACKEND_GATE_MIN_SPEEDUP
-    print(
-        f"backend  {py_name} {py_mean * 1000:9.2f}ms / "
-        f"{np_name} {np_mean * 1000:9.2f}ms = {speedup:5.2f}x numpy speedup "
-        f"(bound >= {BACKEND_GATE_MIN_SPEEDUP:.1f}x) "
-        f"{'ok' if ok else '<-- REGRESSION'}"
-    )
-    if not ok:
-        print(
-            f"::error title=backend throughput::the numpy backend runs only "
-            f"{speedup:.2f}x the python generic kernel (bound "
-            f">= {BACKEND_GATE_MIN_SPEEDUP:.1f}x, same-run ratio)"
-        )
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("results", help="fresh pytest-benchmark JSON")
@@ -182,19 +122,10 @@ def main(argv=None) -> int:
         help="gate on same-run streaming/sharding overhead ratios "
         "(exits non-zero on regression; skips the baseline diff)",
     )
-    parser.add_argument(
-        "--backend-gate",
-        action="store_true",
-        help="gate on the same-run python/numpy backend speedup ratio "
-        "(exits non-zero on regression; skips the baseline diff)",
-    )
     args = parser.parse_args(argv)
 
     try:
-        rows = load_benchmarks(args.results)
-        fresh = {name: mean for name, mean, _ in rows}
-        if args.backend_gate:
-            return backend_gate(rows)
+        fresh = load_means(args.results)
         if args.stream_gate:
             return stream_gate(fresh)
         baseline = load_means(args.baseline)

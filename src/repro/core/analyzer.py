@@ -45,7 +45,6 @@ def analyze(
     trace: Iterable,
     config: Optional[AnalysisConfig] = None,
     segments: Optional[SegmentMap] = None,
-    backend: str = "python",
 ) -> AnalysisResult:
     """Run one Paragraph analysis over ``trace``.
 
@@ -57,13 +56,6 @@ def analyze(
         config: the analysis configuration (defaults to the dataflow limit:
             conservative syscalls, full renaming, unlimited window).
         segments: segment map override.
-        backend: ``"python"`` (default) or ``"numpy"``. The numpy backend
-            evaluates the same placement rule over level-frontier batches
-            (:mod:`repro.core.vkernels`) and is bit-identical; it applies
-            when NumPy is importable and the configuration is eligible
-            (no branch predictor, no constrained resources) — anything
-            else falls back to the python loops silently. Results never
-            depend on the backend.
 
     Returns:
         An :class:`~repro.core.results.AnalysisResult`.
@@ -73,14 +65,7 @@ def analyze(
     trace = as_columnar(trace, segments)
     if segments is None:
         segments = trace.segments
-    if backend != "python":
-        from repro.core import vkernels
-
-        if backend not in vkernels.BACKENDS:
-            raise ValueError(f"unknown analysis backend {backend!r}")
-        if vkernels.available() and vkernels.eligible(config):
-            return vkernels.analyze_vectorized(trace, config, segments)
-    frontier = new_frontier(config, segments, backend)
+    frontier = new_frontier(config, segments)
     # The span is per analysis, not per record: with metrics off this is a
     # single predicate on the null registry; with metrics on it prices each
     # kernel family separately (``span.kernel.scan.<kernel>.wall``).

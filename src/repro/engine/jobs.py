@@ -28,14 +28,6 @@ from repro.trace.buffer import TraceBuffer
 from repro.trace.columnar import ColumnarTrace
 
 
-def _analyze_vkernel(trace, config: AnalysisConfig) -> AnalysisResult:
-    """The vectorized NumPy backend (:mod:`repro.core.vkernels`), pinned
-    for the differential harness. Ineligible configurations (or a missing
-    NumPy) fall back to the python loops — the results are identical
-    either way."""
-    return analyze(trace, config, backend="numpy")
-
-
 def _analyze_reference(trace, config: AnalysisConfig) -> AnalysisResult:
     from repro.core.reference import reference_analyze
 
@@ -53,34 +45,34 @@ def _analyze_oracle(trace, config: AnalysisConfig) -> AnalysisResult:
     return oracle_analyze(trace, config)
 
 
-def _analyze_stream(trace, config: AnalysisConfig, backend: str = "python") -> AnalysisResult:
+def _analyze_stream(trace, config: AnalysisConfig) -> AnalysisResult:
     """Chunked streaming re-analysis: one frontier advanced over ~3 cuts
     (exercising resume-at-a-cut for every configuration). Late-binds
     through the module attribute so the harness can mutate it."""
     from repro.core import stream
 
     chunk = max(1, (len(trace) + 2) // 3)
-    return stream.stream_analyze_trace(trace, config, chunk_records=chunk, backend=backend)
+    return stream.stream_analyze_trace(trace, config, chunk_records=chunk)
 
 
-def _analyze_sharded(trace, config: AnalysisConfig, backend: str = "python") -> AnalysisResult:
+def _analyze_sharded(trace, config: AnalysisConfig) -> AnalysisResult:
     """Full shard machinery in-process over ~4 segments: fresh-frontier
     suffix summaries where the configuration allows splicing, prefix
     replay + stitch otherwise (see :mod:`repro.core.stream`)."""
     from repro.core import stream
 
     shard = max(1, (len(trace) + 3) // 4)
-    return stream.shard_analyze_trace(trace, config, shard_size=shard, backend=backend)
+    return stream.shard_analyze_trace(trace, config, shard_size=shard)
 
 
-def _analyze_segment(trace, config: AnalysisConfig, backend: str = "python"):
+def _analyze_segment(trace, config: AnalysisConfig):
     """Shard pass 1: treat the (segment) trace as standalone and summarize
     everything past its first conservative syscall from a fresh frontier.
     Returns a :class:`~repro.core.stream.SegmentSummary`, not an
     :class:`AnalysisResult` — the stitch pass splices it."""
     from repro.core import stream
 
-    return stream.summarize_segment(trace, config, backend=backend)
+    return stream.summarize_segment(trace, config)
 
 
 #: Analysis methods a job may request. Values take ``(trace, config)`` and
@@ -93,12 +85,10 @@ def _analyze_segment(trace, config: AnalysisConfig, backend: str = "python"):
 #: and ``sharded`` run the bounded-memory chunk/shard machinery of
 #: :mod:`repro.core.stream` (results identical to ``forward``); ``segment``
 #: is the shard pass-1 worker method and returns a
-#: :class:`~repro.core.stream.SegmentSummary` instead of a result;
-#: ``vkernel`` pins the vectorized NumPy backend for the same harness.
+#: :class:`~repro.core.stream.SegmentSummary` instead of a result.
 METHODS: Dict[str, Callable[[TraceBuffer, AnalysisConfig], AnalysisResult]] = {
     "forward": analyze,
     "twopass": twopass_analyze,
-    "vkernel": _analyze_vkernel,
     "reference": _analyze_reference,
     "oracle": _analyze_oracle,
     "stream": _analyze_stream,
@@ -107,11 +97,7 @@ METHODS: Dict[str, Callable[[TraceBuffer, AnalysisConfig], AnalysisResult]] = {
 }
 
 #: Methods whose fastest input is a :class:`ColumnarTrace`.
-_COLUMNAR_METHODS = frozenset({"forward", "vkernel", "stream", "sharded", "segment"})
-
-#: Methods whose callable accepts a ``backend=`` keyword (the rest are
-#: implementation-pinned and ignore the job's backend preference).
-_BACKEND_METHODS = frozenset({"forward", "stream", "sharded", "segment"})
+_COLUMNAR_METHODS = frozenset({"forward", "stream", "sharded", "segment"})
 
 
 @dataclass(frozen=True)
@@ -127,11 +113,6 @@ class AnalysisJob:
             verification methods in :data:`METHODS`.
         optimize: analyze the compiler-optimized trace of the workload
             (the abl-compiler grid axis).
-        backend: ``"python"`` (default) or ``"numpy"`` — the execution
-            strategy preference forwarded to backend-aware methods.
-            Never part of the job's :meth:`digest`: the backends are
-            bit-identical, so both spellings of a job share one cache
-            entry. Implementation-pinned methods ignore it.
     """
 
     workload: str
@@ -139,7 +120,6 @@ class AnalysisJob:
     config: AnalysisConfig = field(default_factory=AnalysisConfig)
     method: str = "forward"
     optimize: bool = False
-    backend: str = "python"
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -149,53 +129,37 @@ class AnalysisJob:
             )
         if self.cap < 1:
             raise ValueError(f"cap must be >= 1, got {self.cap}")
-        if self.backend not in ("python", "numpy"):
-            raise ValueError(
-                f"unknown analysis backend {self.backend!r}; "
-                "choose from python, numpy"
-            )
 
     # -- identity ----------------------------------------------------------
 
     def canonical(self) -> dict:
         """JSON-safe canonical form (wire format across processes and the
-        job half of cache keys). The ``backend`` key appears only when it
-        is not the default, so canonical forms written before the backend
-        knob existed stay byte-identical."""
-        data = {
+        job half of cache keys)."""
+        return {
             "workload": self.workload,
             "cap": self.cap,
             "config": self.config.canonical(),
             "method": self.method,
             "optimize": self.optimize,
         }
-        if self.backend != "python":
-            data["backend"] = self.backend
-        return data
 
     @classmethod
     def from_canonical(cls, data: dict) -> "AnalysisJob":
-        """Inverse of :meth:`canonical` (worker-side reconstruction)."""
+        """Inverse of :meth:`canonical` (worker-side reconstruction).
+        Unknown keys are ignored, so older wire forms that carried an
+        execution-backend preference still decode to the same job."""
         return cls(
             workload=data["workload"],
             cap=data["cap"],
             config=AnalysisConfig.from_canonical(data["config"]),
             method=data["method"],
             optimize=data["optimize"],
-            backend=data.get("backend", "python"),
         )
 
     def digest(self) -> str:
-        """Stable hex digest of the job spec, identical across processes.
-
-        The backend is stripped first: it is an execution strategy, not
-        semantics, so a numpy-backed job hits (and fills) the same result
-        cache entry as its python twin.
-        """
-        canonical = self.canonical()
-        canonical.pop("backend", None)
+        """Stable hex digest of the job spec, identical across processes."""
         payload = json.dumps(
-            canonical, sort_keys=True, separators=(",", ":")
+            self.canonical(), sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
 
@@ -210,8 +174,6 @@ class AnalysisJob:
         extras = []
         if self.method != "forward":
             extras.append(self.method)
-        if self.backend != "python":
-            extras.append(self.backend)
         if self.optimize:
             extras.append("optimized")
         suffix = f" [{', '.join(extras)}]" if extras else ""
@@ -242,6 +204,4 @@ class AnalysisJob:
         """
         if isinstance(trace, ColumnarTrace) and not self.prefers_columnar:
             trace = trace.to_buffer()
-        if self.backend != "python" and self.method in _BACKEND_METHODS:
-            return METHODS[self.method](trace, self.config, backend=self.backend)
         return METHODS[self.method](trace, self.config)

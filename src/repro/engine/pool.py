@@ -239,6 +239,30 @@ def _sigterm_to_exit(signum, frame) -> None:
     raise SystemExit(128 + signum)
 
 
+def _put_uninterrupted(result_queue, message) -> None:
+    """``result_queue.put(message)`` with SIGTERM held off until it returns.
+
+    ``put`` takes the queue's non-reentrant ``_notempty`` lock through a
+    python-level ``Condition.__enter__``, so :func:`_sigterm_to_exit` can
+    raise after the acquire and before the ``with`` body that would release
+    it. The queue's close finalizer (run by the cleanup's ``close()`` and
+    again by multiprocessing's exit hook) takes that lock too, and would
+    block forever. A SIGTERM that arrives while masked stays pending and is
+    delivered as soon as the mask is restored, outside the lock; ``put`` on
+    an unbounded queue never blocks, so the deferral is brief.
+    """
+    if not hasattr(signal, "pthread_sigmask"):
+        # Windows: no signal masks, and terminate() kills the process
+        # outright without running the SIGTERM handler.
+        result_queue.put(message)
+        return
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGTERM,))
+    try:
+        result_queue.put(message)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
 def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False) -> None:
     """Worker loop: pull ``(index, job wire form, trace reference, enqueue
     timestamp)`` tasks until the ``None`` sentinel. All state is rebuilt
@@ -281,7 +305,7 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
             if metrics and enqueued is not None:
                 queue_wait = max(0.0, time.time() - enqueued)
                 obs.observe("job.queue_wait", queue_wait)
-            result_queue.put((JOB_STARTED, worker_id, index, None))
+            _put_uninterrupted(result_queue, (JOB_STARTED, worker_id, index, None))
             if faults.fire("crash", index):
                 faults.crash_now()
             if faults.fire("hang", index):
@@ -327,7 +351,7 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
                     checksum,
                     _job_telemetry(metrics, phases, queue_wait),
                 )
-                result_queue.put((JOB_DONE, worker_id, index, payload))
+                _put_uninterrupted(result_queue, (JOB_DONE, worker_id, index, payload))
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as error:  # noqa: BLE001 - one bad job must not kill the grid
@@ -337,7 +361,7 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
                     time.perf_counter() - start,
                     _job_telemetry(metrics, phases, queue_wait),
                 )
-                result_queue.put((JOB_FAILED, worker_id, index, payload))
+                _put_uninterrupted(result_queue, (JOB_FAILED, worker_id, index, payload))
     except (KeyboardInterrupt, SystemExit):
         interrupted = True
     finally:

@@ -326,12 +326,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--focus",
-        choices=["all", "shard", "backend"],
+        choices=["all", "shard"],
         default="all",
         help="narrow the per-case plan: 'shard' runs only the "
-        "exact-vs-sharded streaming invariant; 'backend' diffs the "
-        "vectorized numpy backend against the python loops across a "
-        "rename x window grid (default: all checks)",
+        "exact-vs-sharded streaming invariant (default: all checks)",
     )
 
     adhoc = sub.add_parser("analyze", help="analyze one workload or trace file")
@@ -368,15 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for --stream: eligible configurations "
         "analyze segments in parallel and stitch (default: 1, sequential)",
-    )
-    adhoc.add_argument(
-        "--backend",
-        choices=["python", "numpy"],
-        default="python",
-        help="analysis backend: 'numpy' evaluates the placement rule over "
-        "level-frontier batches when NumPy is available and the "
-        "configuration is eligible, falling back to the python loops "
-        "otherwise (identical results either way; default: python)",
     )
     adhoc.add_argument("--window", type=int, default=None)
     adhoc.add_argument(
@@ -549,14 +538,12 @@ def _analyze_streamed(args, config: AnalysisConfig, is_file: bool):
                 config,
                 chunk_records=args.shard_size or DEFAULT_CHUNK_RECORDS,
                 cap=args.cap,
-                backend=args.backend,
             )
         return shard_analyze_file(
             args.workload,
             config,
             shard_size=args.shard_size,
             engine=engine,
-            backend=args.backend,
         )
     from repro.trace.io import write_trace_file
 
@@ -571,7 +558,6 @@ def _analyze_streamed(args, config: AnalysisConfig, is_file: bool):
             config,
             shard_size=args.shard_size,
             engine=engine,
-            backend=args.backend,
         )
 
 
@@ -593,12 +579,12 @@ def _command_analyze(args) -> int:
 
         cap = args.cap if args.cap is not None else DEFAULT_CAP
         trace = read_trace_file(args.workload).head(cap)
-        result = analyze(trace, config, backend=args.backend)
+        result = analyze(trace, config)
     else:
         cap = args.cap if args.cap is not None else DEFAULT_CAP
         workload = load_workload(args.workload)
         trace = workload.trace(max_instructions=cap)
-        result = analyze(trace, config, backend=args.backend)
+        result = analyze(trace, config)
     print(result.summary())
     print(f"  placed operations : {result.placed_operations:,}")
     print(f"  critical path     : {result.critical_path_length:,}")

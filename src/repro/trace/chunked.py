@@ -424,6 +424,7 @@ def iter_chunks(
                         if _io._np is not None:
                             columns = _io.gather_columns(chunk_view, heads, chunk_count)
                         else:
+                            _io.count_decode_fallback("no_numpy")
                             columns = scan_columns(bytes(chunk_view), chunk_count)
                     finally:
                         chunk_view.release()

@@ -77,7 +77,6 @@ class ColumnarTrace:
         "_buffer",
         "_shm",
         "_views",
-        "_vk_index",
     )
 
     def __init__(
@@ -106,9 +105,6 @@ class ColumnarTrace:
         self._buffer = None
         self._shm = None
         self._views = ()
-        # Batch access-index cache for the vectorized backend
-        # (repro.core.vkernels), keyed by (conservative, start, end).
-        self._vk_index: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -399,9 +395,6 @@ class ColumnarTrace:
         """Release a shared-memory attachment (no-op for local traces)."""
         if self._shm is None:
             return
-        # The vectorized backend caches zero-copy frombuffer views of the
-        # columns; they pin the block and must go before the views do.
-        self._vk_index.clear()
         for view in self._views:
             view.release()
         self._views = ()

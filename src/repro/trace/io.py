@@ -367,6 +367,14 @@ def gather_columns(payload, heads, count: int):
     )
 
 
+def count_decode_fallback(reason: str) -> None:
+    """Count one decode that took the pure-python scan instead of the
+    vectorized gathers, by ``reason`` (``no_numpy`` or ``ragged_tail``)."""
+    from repro.obs import metrics as obs
+
+    obs.inc(f"trace_decode.fallback.{reason}")
+
+
 def scan_columns_fast(payload, count: int):
     """Like :func:`scan_columns`, but vectorized when NumPy is present.
 
@@ -374,11 +382,16 @@ def scan_columns_fast(payload, count: int):
     field and operand extraction happens through u32 gathers on a
     zero-copy ``frombuffer`` view of ``payload``. Identical output —
     columns, error behavior (truncation, trailing bytes) — to the
-    pure-python scan, which it silently falls back to without NumPy.
+    pure-python scan, which it falls back to without NumPy; each fallback
+    bumps the ``trace_decode.fallback.<reason>`` counter.
     """
-    if _np is None or len(payload) % 4:
+    if _np is None:
+        count_decode_fallback("no_numpy")
+        return scan_columns(payload, count)
+    if len(payload) % 4:
         # A valid stream is always a multiple of 4 bytes; a ragged tail
         # means truncation, which the reference scan reports precisely.
+        count_decode_fallback("ragged_tail")
         return scan_columns(payload, count)
     heads = walk_record_heads(payload, count)
     if heads[count] != len(payload):

@@ -3,10 +3,10 @@
 Every production result in this repository hangs on one placement rule
 (see DESIGN.md section 4). The production analyzer runs it as one
 resumable loop per kernel family (:mod:`repro.core.stream`); the readable
-reference, the two-pass method, and the vectorized NumPy backend
-implement it independently. This package checks all of them against each
-other — and against a deliberately slow oracle that never runs the
-live-well algorithm at all — on randomized traces:
+reference and the two-pass method implement it independently. This
+package checks all of them against each other — and against a
+deliberately slow oracle that never runs the live-well algorithm at
+all — on randomized traces:
 
 - :mod:`repro.verify.oracle` — recomputes every placement level by explicit
   DDG edge construction followed by a topological longest-path pass;

@@ -12,12 +12,11 @@ the same result on the same (trace, config):
 - ``twopass`` — the reverse-annotated method (``peak_live_well`` masked);
 - ``reference`` — the readable live-well implementation;
 - ``oracle`` — explicit DDG + longest path (:mod:`repro.verify.oracle`),
-  skipped for resource-constrained configs;
-- ``vkernel`` — the vectorized NumPy backend (``focus="backend"`` only).
+  skipped for resource-constrained configs.
 
-``reference``/``twopass``, ``oracle`` and ``vkernel`` share no placement
-code with ``forward`` or with each other, so a bug planted in any one
-loop surfaces as a disagreement.
+``reference``/``twopass`` and ``oracle`` share no placement code with
+``forward`` or with each other, so a bug planted in any one loop surfaces
+as a disagreement.
 
 **Metamorphic** — the paper's own invariants, checked as relations between
 analyses of the *same trace* under transformed configs:
@@ -119,34 +118,10 @@ def case_plan(
 
     ``focus="shard"`` restricts the plan to the baseline plus the
     exact-vs-sharded pair (the CI shard-equivalence gate runs many more
-    cases than the full sweep could afford per case).
-
-    ``focus="backend"`` diffs the vectorized numpy backend
-    (:mod:`repro.core.vkernels`, pinned via the ``vkernel`` method)
-    against the python loops: once against the baseline on the case
-    config, and pairwise against ``forward`` across the rename-step x
-    window grid (the generated cases themselves vary
-    syscall policy, memory disambiguation, latency tables, and lifetime
-    collection, so the product grid is covered across a sweep). Where the
-    backend is ineligible or NumPy is absent, ``vkernel`` falls back to
-    the python loops and the diff degenerates to a self-check."""
+    cases than the full sweep could afford per case)."""
     plan = [(f"diff:{BASELINE_METHOD}", BASELINE_METHOD, config)]
     if focus == "shard":
         plan.extend((tag, method, config) for tag, method in SHARD_CHECKS)
-        return plan
-    if focus == "backend":
-        plan.append(("backend:case", "vkernel", config))
-        if config.resources is None:
-            for step, (regs, stack, data) in enumerate(_RENAME_STEPS):
-                derived = config.derive(
-                    rename_registers=regs, rename_stack=stack, rename_data=data
-                )
-                plan.append((f"backend:rename{step}:py", "forward", derived))
-                plan.append((f"backend:rename{step}:np", "vkernel", derived))
-            for window in WINDOW_CHAIN:
-                derived = config.derive(window_size=window)
-                plan.append((f"backend:window{window}:py", "forward", derived))
-                plan.append((f"backend:window{window}:np", "vkernel", derived))
         return plan
     if focus != "all":
         raise ValueError(f"unknown verification focus {focus!r}")
@@ -280,24 +255,7 @@ def evaluate_case(
                 failures.extend(
                     diff_results(BASELINE_METHOD, baseline, method, result)
                 )
-        backend_case = results.get("backend:case")
-        if backend_case is not None:
-            # Cross-backend invariant: the vectorized backend is unmasked
-            # field-for-field identical to the python loops.
-            failures.extend(
-                diff_results(BASELINE_METHOD, baseline, "backend:case", backend_case)
-            )
         failures.extend(_census_failures(trace, config, baseline))
-
-    for tag in sorted(results):
-        # Paired grid points: backend:<axis>:np diffs against its
-        # backend:<axis>:py twin (same derived config, python loops).
-        if not tag.startswith("backend:") or not tag.endswith(":np"):
-            continue
-        py_tag = tag[:-3] + ":py"
-        reference = results.get(py_tag)
-        if reference is not None:
-            failures.extend(diff_results(py_tag, reference, tag, results[tag]))
 
     rename_tags = [f"rename:{step}" for step in range(len(_RENAME_STEPS))]
     if all(tag in results for tag in rename_tags):

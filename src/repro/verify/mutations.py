@@ -25,19 +25,11 @@ Mutations:
   level too shallow (``offset = floor - 1`` instead of the true floor at
   the cut). Caught by the exact-vs-sharded invariant on any case whose
   sharded run actually splices a summary with post-cut placements.
-- ``vkernel-batch-skew`` — the vectorized backend's block seeding skips
-  each frontier batch's first record (an off-by-one at the batch
-  boundary), so that record misses its floor term. Caught by the
-  cross-backend differential (``verify --focus backend``) on any case
-  where a block-leading record's placement binds on the floor. A no-op
-  when NumPy is absent — the backend falls back to the (unmutated)
-  python loops, so no-numpy environments must skip this self-test.
 
 Every patch goes through a module attribute that its call site
 late-binds (``stream.advance`` resolves ``_advance_*`` as globals per
-call, the shard stitch looks up ``stream.splice``, and ``vkernels``
-resolves ``_seed_frontier_batch`` per block), so no reload tricks are
-needed.
+call, and the shard stitch looks up ``stream.splice``), so no reload
+tricks are needed.
 """
 
 from __future__ import annotations
@@ -122,26 +114,10 @@ def mutate_stream_splice_skew():
         yield
 
 
-@contextmanager
-def mutate_vkernel_batch_skew():
-    """The vectorized backend's seeding skips each batch's first record."""
-    from repro.core import vkernels
-
-    def wrap(original):
-        def mutant(C, recs, base):
-            original(C, recs[1:], base[1:])
-
-        return mutant
-
-    with _patched(vkernels, ("_seed_frontier_batch",), wrap):
-        yield
-
-
 MUTATIONS = {
     "kernel-load-skew": mutate_kernel_load_skew,
     "legacy-war-loss": mutate_legacy_war_loss,
     "stream-splice-skew": mutate_stream_splice_skew,
-    "vkernel-batch-skew": mutate_vkernel_batch_skew,
 }
 
 

@@ -22,6 +22,7 @@ from repro.core.kernels import (
 from repro.core.latency import LatencyTable
 from repro.core.reference import reference_analyze
 from repro.core.resources import ResourceModel
+from repro.isa.opclasses import OpClass
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.synthetic import TraceBuilder, random_trace
 
@@ -123,8 +124,51 @@ class TestKernelCrossValidation:
         builder = TraceBuilder()
         builder.syscall()
         builder.syscall()
-        cross_validate(builder.build(), AnalysisConfig())
-        cross_validate(builder.build(), AnalysisConfig(window_size=1))
+        for config in (
+            AnalysisConfig(),
+            AnalysisConfig(window_size=1),
+            AnalysisConfig(syscall_policy="optimistic"),
+        ):
+            cross_validate(builder.build(), config)
+
+    def test_syscall_with_dests(self):
+        builder = TraceBuilder()
+        builder.ialu(5)
+        builder.ialu(3, 5, 4)
+        builder.op(OpClass.SYSCALL, (5,))
+        builder.ialu(1, 5, 1)
+        for policy in ("conservative", "optimistic"):
+            cross_validate(builder.build(), AnalysisConfig(syscall_policy=policy))
+
+    def test_branchy_trace_without_predictor(self):
+        """Branches and jumps are counted but never placed."""
+        buffer = random_trace(seed=9, length=300, memory_words=24,
+                              syscall_fraction=0.03, branch_fraction=0.3)
+        for config in (AnalysisConfig(), AnalysisConfig(window_size=5)):
+            cross_validate(buffer, config)
+
+    def test_shm_backed_columns(self):
+        """memoryview-cast columns attached from a shared-memory block (the
+        engine pool's hand-off) analyze exactly like local columns."""
+        buffer = random_trace(seed=13, length=300, memory_words=24,
+                              syscall_fraction=0.03)
+        shm = ColumnarTrace.from_buffer(buffer).to_shared_memory()
+        try:
+            attached = ColumnarTrace.from_shared_memory(shm.name)
+            try:
+                for config in (
+                    AnalysisConfig(),
+                    AnalysisConfig.no_renaming(),
+                    AnalysisConfig(window_size=32),
+                ):
+                    assert_same_result(
+                        analyze(attached, config), cross_validate(buffer, config)
+                    )
+            finally:
+                attached.close()
+        finally:
+            shm.close()
+            shm.unlink()
 
     @settings(max_examples=60, deadline=None)
     @given(

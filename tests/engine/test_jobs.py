@@ -123,7 +123,6 @@ class TestMethods:
         assert set(METHODS) == {
             "forward",
             "twopass",
-            "vkernel",
             "reference",
             "oracle",
             "stream",
@@ -135,7 +134,6 @@ class TestMethods:
         "method,columnar",
         [
             ("forward", True),
-            ("vkernel", True),
             ("twopass", False),
             ("reference", False),
             ("oracle", False),
@@ -149,7 +147,7 @@ class TestMethods:
 
     @pytest.mark.parametrize(
         "method",
-        ["forward", "twopass", "vkernel", "reference", "stream", "sharded"],
+        ["forward", "twopass", "reference", "stream", "sharded"],
     )
     def test_all_methods_agree_on_either_representation(self, method):
         """Every method accepts both trace representations via job.run and
@@ -176,62 +174,3 @@ class TestMethods:
         result = AnalysisJob("w", len(trace), method="oracle").run(trace)
         assert result.critical_path_length == expected.critical_path_length
         assert result.peak_live_well == -1  # oracle sentinel
-
-
-class TestJobBackend:
-    """The backend is an execution strategy, never identity: it rides the
-    wire format (only when non-default) but is stripped from digests so
-    both backends share one result-cache entry."""
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown analysis backend"):
-            AnalysisJob("cc1x", 100, backend="cuda")
-
-    def test_digest_ignores_backend(self):
-        py = AnalysisJob("cc1x", 5000)
-        np = AnalysisJob("cc1x", 5000, backend="numpy")
-        assert py.digest() == np.digest()
-
-    def test_canonical_omits_default_backend(self):
-        """Canonical forms written before the backend knob existed must
-        stay byte-identical for python-backend jobs."""
-        assert "backend" not in AnalysisJob("cc1x", 100).canonical()
-        assert AnalysisJob("cc1x", 100, backend="numpy").canonical()["backend"] == "numpy"
-
-    def test_round_trip_preserves_backend(self):
-        job = AnalysisJob("cc1x", 5000, backend="numpy")
-        assert AnalysisJob.from_canonical(job.canonical()) == job
-
-    def test_legacy_canonical_defaults_to_python(self):
-        data = AnalysisJob("cc1x", 100).canonical()
-        data.pop("backend", None)
-        assert AnalysisJob.from_canonical(data).backend == "python"
-
-    def test_describe_mentions_numpy(self):
-        assert "numpy" in AnalysisJob("cc1x", 100, backend="numpy").describe()
-        assert "numpy" not in AnalysisJob("cc1x", 100).describe()
-
-    @pytest.mark.parametrize(
-        "method", ["forward", "stream", "sharded", "twopass", "reference"]
-    )
-    def test_run_identical_across_backends(self, method):
-        """backend="numpy" never changes a job's result — backend-aware
-        methods route through the vectorized engine (or fall back), and
-        implementation-pinned methods ignore the preference entirely."""
-        from repro.trace.synthetic import random_trace
-
-        trace = random_trace(seed=5, length=300, syscall_fraction=0.03)
-        py = AnalysisJob("w", len(trace), method=method).run(trace)
-        np = AnalysisJob("w", len(trace), method=method, backend="numpy").run(trace)
-        assert np.critical_path_length == py.critical_path_length
-        assert np.placed_operations == py.placed_operations
-
-    def test_segment_method_identical_across_backends(self):
-        from repro.trace.synthetic import random_trace
-
-        trace = random_trace(seed=6, length=300, syscall_fraction=0.05)
-        py = AnalysisJob("w", len(trace), method="segment").run(trace)
-        np = AnalysisJob(
-            "w", len(trace), method="segment", backend="numpy"
-        ).run(trace)
-        assert np == py  # SegmentSummary dataclass equality, field by field

@@ -620,3 +620,78 @@ class TestWorkerSignalIsolation:
             result_queue.cancel_join_thread()
             receiver.close()
             sender.close()
+
+
+class _SigtermInsidePut:
+    """Result-queue stand-in whose ``JOB_DONE`` put takes the queue's
+    ``_notempty`` lock and delivers SIGTERM to the worker's main thread
+    while holding it — the window where a real ``Queue.put`` is
+    interruptible (``Condition.__enter__`` is python code, so the signal
+    handler can raise after the acquire, before the ``with`` body starts).
+    An exception between the bare ``acquire`` and ``release`` below leaves
+    the lock held exactly as that interrupted ``__enter__`` does."""
+
+    def __init__(self, queue):
+        self.queue = queue
+
+    def put(self, message):
+        if message[0] == JOB_DONE:
+            import threading
+
+            self.queue._notempty.acquire()
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGTERM)
+            self.queue._notempty.release()
+        self.queue.put(message)
+
+    def cancel_join_thread(self):
+        self.queue.cancel_join_thread()
+
+    def close(self):
+        self.queue.close()
+
+
+class TestWorkerSigtermInsideQueuePut:
+    """A SIGTERM landing while the worker holds its result queue's lock
+    must still unwind the worker: the shm attachment is closed and the
+    process exits cleanly instead of deadlocking in the queue's close
+    finalizer."""
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "pthread_kill"), reason="needs pthread_kill"
+    )
+    def test_worker_exits_when_sigterm_lands_inside_put(self):
+        import multiprocessing
+
+        from repro.engine.pool import _worker_main
+        from repro.trace.columnar import ColumnarTrace
+        from repro.trace.synthetic import random_trace
+
+        context = multiprocessing.get_context("fork")
+        trace = ColumnarTrace.from_buffer(random_trace(seed=1, length=200))
+        block = trace.to_shared_memory()
+        task_queue = context.Queue()
+        result_queue = context.Queue()
+        worker = context.Process(
+            target=_worker_main,
+            args=(0, task_queue, _SigtermInsidePut(result_queue), False),
+        )
+        try:
+            worker.start()
+            job = AnalysisJob("w", len(trace), AnalysisConfig())
+            task_queue.put((0, job.canonical(), ("shm", block.name), None))
+            worker.join(timeout=30)
+            assert worker.exitcode is not None, (
+                "worker deadlocked on its result queue's lock after SIGTERM"
+            )
+            # 0, not -SIGTERM: the handler's SystemExit unwound the loop
+            # through its cleanup (shm detach, queue release).
+            assert worker.exitcode == 0
+        finally:
+            if worker.is_alive():
+                worker.kill()
+                worker.join(timeout=10)
+            for q in (task_queue, result_queue):
+                q.close()
+                q.cancel_join_thread()
+            block.close()
+            block.unlink()

@@ -55,80 +55,6 @@ class TestComparison:
         assert "nothing compared" in proc.stdout
 
 
-def gate_entry(name, mean, backend, kernel="generic", gate="backend"):
-    row = entry(name, mean)
-    row["extra_info"] = {"backend": backend, "kernel": kernel, "gate": gate}
-    return row
-
-
-class TestBackendGate:
-    """--backend-gate finds its row pair by stable extra_info metadata and
-    gates on the same-run python/numpy speedup ratio."""
-
-    def test_healthy_speedup_exits_zero(self, tmp_path):
-        fresh = bench_json(
-            tmp_path / "fresh.json",
-            [
-                gate_entry("test_backend_gate_python", 0.120, "python"),
-                gate_entry("test_backend_gate_numpy", 0.017, "numpy"),
-            ],
-        )
-        proc = run(fresh, "--backend-gate")
-        assert proc.returncode == 0
-        assert "ok" in proc.stdout
-
-    def test_lost_speedup_gates(self, tmp_path):
-        fresh = bench_json(
-            tmp_path / "fresh.json",
-            [
-                gate_entry("test_backend_gate_python", 0.120, "python"),
-                gate_entry("test_backend_gate_numpy", 0.060, "numpy"),
-            ],
-        )
-        proc = run(fresh, "--backend-gate")
-        assert proc.returncode == 1
-        assert "REGRESSION" in proc.stdout
-        assert "::error" in proc.stdout
-
-    def test_missing_numpy_row_exits_two(self, tmp_path):
-        """A run without NumPy skips the numpy gate row; gating such a run
-        must be a clear configuration error, not a silent pass."""
-        fresh = bench_json(
-            tmp_path / "fresh.json",
-            [gate_entry("test_backend_gate_python", 0.120, "python")],
-        )
-        proc = run(fresh, "--backend-gate")
-        assert proc.returncode == 2
-        assert "numpy" in proc.stderr
-        assert "backend_gate" in proc.stderr  # points at the producing command
-
-    def test_missing_both_rows_exits_two(self, tmp_path):
-        fresh = bench_json(tmp_path / "fresh.json", [entry("bench_a", 0.1)])
-        proc = run(fresh, "--backend-gate")
-        assert proc.returncode == 2
-
-    def test_untagged_rows_are_not_gate_rows(self, tmp_path):
-        """Ordinary backend-tagged rows (no gate key) must not satisfy the
-        gate: only the designated same-workload pair may be compared."""
-        fresh = bench_json(
-            tmp_path / "fresh.json",
-            [
-                gate_entry("test_vkernel_throughput_generic", 0.1, "numpy", gate=None),
-                gate_entry("test_backend_gate_python", 0.120, "python"),
-            ],
-        )
-        proc = run(fresh, "--backend-gate")
-        assert proc.returncode == 2
-
-    def test_default_path_ignores_extra_info(self, tmp_path, baseline):
-        fresh = bench_json(
-            tmp_path / "fresh.json",
-            [gate_entry("bench_a", 0.101, "python")],
-        )
-        proc = run(fresh, "--baseline", baseline)
-        assert proc.returncode == 0
-
-
 class TestMalformedInput:
     """A missing metric key must be a clear error, not a KeyError trace."""
 

@@ -5,16 +5,17 @@ Two decoders turn a PGT2 file into columns: the buffered
 chunked reader ``iter_chunks``, which walks a read-only memory map. Both
 use vectorized u32 column gathers when NumPy is present and the
 per-record python scan otherwise. The decode path is not allowed to be a
-semantics knob any more than the analysis backend is: every column must
-come out identical across decoders on every workload, with or without
-NumPy, and a truncated or corrupted file must raise
-:class:`TraceFormatError` before any partial trace escapes.
+semantics knob: every column must come out identical across decoders on
+every workload, with or without NumPy, and a truncated or corrupted file
+must raise :class:`TraceFormatError` before any partial trace escapes.
 """
 
 import pytest
 
 from repro.core.analyzer import analyze
 from repro.core.config import AnalysisConfig
+from repro.obs import metrics as obs
+from repro.obs.metrics import MetricsRegistry
 from repro.trace import io as trace_io
 from repro.trace.chunked import iter_chunks
 from repro.trace.columnar import ColumnarTrace
@@ -162,3 +163,46 @@ class TestScanColumnsFast:
         assert heads[0] == 0 and heads[-1] == len(payload)
         columns = trace_io.gather_columns(payload, heads, len(trace))
         assert columns == trace_io.scan_columns(payload, len(trace))
+
+
+class TestFallbackCounters:
+    """The pure-python decode is the one numpy/python choice left in the
+    stack; every time it is taken, a counter records why."""
+
+    PREFIX = "trace_decode.fallback."
+
+    @pytest.fixture
+    def registry(self):
+        previous = obs.registry()
+        registry = MetricsRegistry()
+        obs.set_registry(registry)
+        yield registry
+        obs.set_registry(previous)
+
+    def fallbacks(self, registry):
+        counters = registry.snapshot()["counters"]
+        return {
+            name[len(self.PREFIX) :]: value
+            for name, value in counters.items()
+            if name.startswith(self.PREFIX) and value
+        }
+
+    def test_numpy_masked_counts_each_decode(self, tmp_path, monkeypatch, registry):
+        path = write_tmp(tmp_path, random_trace(seed=4, length=300))
+        monkeypatch.setattr(trace_io, "_np", None)
+        ColumnarTrace.from_file(path)
+        mmap_decode(path)
+        assert self.fallbacks(registry) == {"no_numpy": 2}
+
+    @pytest.mark.skipif(trace_io._np is None, reason="NumPy is not installed")
+    def test_numpy_present_never_falls_back(self, tmp_path, registry):
+        path = write_tmp(tmp_path, random_trace(seed=4, length=300))
+        ColumnarTrace.from_file(path)
+        mmap_decode(path)
+        assert self.fallbacks(registry) == {}
+
+    @pytest.mark.skipif(trace_io._np is None, reason="NumPy is not installed")
+    def test_ragged_tail_counted(self, registry):
+        with pytest.raises(TraceFormatError):
+            trace_io.scan_columns_fast(b"\x00" * 5, 1)
+        assert self.fallbacks(registry) == {"ragged_tail": 1}

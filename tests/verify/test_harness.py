@@ -59,39 +59,10 @@ class TestCasePlan:
                 assert cfg.branch_predictor == "gshare"
 
 
-class TestBackendFocusPlan:
-    def test_backend_case_always_present(self):
-        tags = {tag for tag, _, _ in case_plan(AnalysisConfig(), focus="backend")}
-        assert "backend:case" in tags
-
-    def test_paired_py_np_tags(self):
-        plan = case_plan(AnalysisConfig(), focus="backend")
-        tags = {tag for tag, _, _ in plan}
-        np_tags = {tag for tag in tags if tag.endswith(":np")}
-        assert np_tags  # rename and window chains both contribute
-        for tag in np_tags:
-            assert tag[:-3] + ":py" in tags
-        methods = {tag: method for tag, method, _ in plan}
-        for tag in np_tags:
-            assert methods[tag] == "vkernel"
-            assert methods[tag[:-3] + ":py"] == "forward"
-
-    def test_resource_configs_keep_only_the_case_diff(self):
-        """Constrained resources are backend-ineligible, so the chains
-        would compare python against python — only the (falling-back)
-        case diff remains."""
-        config = AnalysisConfig(resources=ResourceModel(universal=2))
-        tags = {tag for tag, _, _ in case_plan(config, focus="backend")}
-        assert tags == {f"diff:{BASELINE_METHOD}", "backend:case"}
-
+class TestFocusPlan:
     def test_unknown_focus_rejected(self):
         with pytest.raises(ValueError, match="unknown verification focus"):
             case_plan(AnalysisConfig(), focus="nope")
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_generated_cases_pass(self, seed):
-        case = generate_case(77, seed)
-        assert verify_case(case.trace, case.config, focus="backend") == []
 
 
 class TestVerifyCase:
@@ -229,39 +200,6 @@ class TestMutations:
 
             failure = summary.failures[0]
             assert replay_artifact(failure.artifacts[0])  # still failing inside
-
-    def test_vkernel_batch_skew_caught_by_backend_focus(self, tmp_path):
-        """The cross-backend differential must catch an off-by-one in the
-        vectorized backend's frontier batch seeding. Meaningless without
-        NumPy — the mutated seeding never runs when the backend falls
-        back to the python loops."""
-        from repro.core import vkernels
-
-        if not vkernels.available():
-            pytest.skip("NumPy is not installed")
-        artifact_dir = str(tmp_path / "artifacts")
-        with apply_mutation("vkernel-batch-skew"):
-            summary = run_verification(
-                seed=0,
-                cases=60,
-                artifact_dir=artifact_dir,
-                max_failures=3,
-                focus="backend",
-            )
-            assert not summary.ok, "harness missed mutation vkernel-batch-skew"
-            for failure in summary.failures:
-                assert failure.artifacts
-        from repro.verify.artifacts import replay_artifact
-
-        for failure in summary.failures:
-            assert replay_artifact(failure.artifacts[0]) == []
-
-    def test_vkernel_batch_skew_invisible_to_python_backends(self):
-        """The mutation lives entirely inside the vectorized backend, so
-        the default (python-only) plan must keep passing under it."""
-        case = generate_case(99, 3)
-        with apply_mutation("vkernel-batch-skew"):
-            assert verify_case(case.trace, case.config) == []
 
     def test_unknown_mutation(self):
         with pytest.raises(ValueError, match="unknown mutation"):
