@@ -6,8 +6,8 @@ which keys the result cache) and, for the jobs that actually run, as a
 columnar trace in a ``multiprocessing.shared_memory`` block. Workers are
 shipped job specs plus a trace reference and attach the shared block
 zero-copy — a multi-hundred-thousand-record trace is never pickled per job
-and never decoded per worker. When shared memory is unavailable (or
-disabled) workers fall back to loading the ``.pgt`` file themselves,
+and never decoded per worker. When a shared block cannot be created
+workers fall back to decoding the ``.pgt`` file themselves,
 keeping a tiny per-process LRU of loaded traces which the grid order
 (workload-major) keeps hot. The parent owns every shared block and
 closes/unlinks them once the grid drains.
@@ -54,7 +54,6 @@ from repro.engine.serialize import result_from_dict, result_to_dict
 from repro.obs import metrics as obs
 from repro.obs.spans import span
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.io import read_trace_file
 
 #: Traces an idle worker keeps loaded/attached (grid order keeps this tiny
 #: LRU hot).
@@ -230,7 +229,7 @@ def _load_trace(trace_ref: Tuple[str, str]):
             ),
             digest=spec.get("digest"),
         )
-    return read_trace_file(target)
+    return ColumnarTrace.from_file(target)
 
 
 def _sigterm_to_exit(signum, frame) -> None:
@@ -402,21 +401,17 @@ def execute_serial(
     """In-process execution — the ``--jobs 1`` path. No subprocesses, no
     serialization round-trips beyond the result cache: exceptions surface
     with their original tracebacks, which keeps this the debuggable
-    default. Forward analyses run on the store's columnar trace (the
-    per-family analysis loops) when the store provides one."""
+    default. Every job gets the store's columnar trace; a tuple-scanning
+    method materializes tuples itself (:meth:`AnalysisJob.run`)."""
     metrics = _resolve_metrics(metrics)
     emit = progress or _null_listener
     land = on_outcome or (lambda outcome: None)
     total = len(jobs)
-    columnar = getattr(store, "columnar", None)
     outcomes: List[JobOutcome] = []
     for index, job in enumerate(jobs):
         try:
             with span("trace_load"):
-                if columnar is not None and job.prefers_columnar:
-                    trace = columnar(job.workload, job.cap, optimize=job.optimize)
-                else:
-                    trace = store.trace(job.workload, job.cap, optimize=job.optimize)
+                trace = store.columnar(job.workload, job.cap, optimize=job.optimize)
         except Exception as error:  # noqa: BLE001 - bad workload spec, not a crash
             outcome = JobOutcome(
                 index,
@@ -474,7 +469,6 @@ def execute_jobs(
     timeout: Optional[float] = None,
     progress: Optional[ProgressListener] = None,
     start_method: Optional[str] = None,
-    shared_memory: bool = True,
     on_outcome: Optional[OutcomeListener] = None,
     max_respawns: Optional[int] = None,
     shm_manifest=None,
@@ -484,10 +478,10 @@ def execute_jobs(
 
     Results come back in submission order regardless of completion order.
     ``njobs == 1`` (or a single-job grid) runs in-process via
-    :func:`execute_serial`. With ``shared_memory`` (the default) each
-    distinct input trace is packed once into a shared-memory columnar
-    block that workers attach zero-copy; disabling it (or any failure to
-    create a block) falls back to workers decoding the ``.pgt`` files.
+    :func:`execute_serial`. Each distinct input trace is packed once into
+    a shared-memory columnar block that workers attach zero-copy; a
+    failure to create a block falls back to workers decoding the ``.pgt``
+    files.
 
     ``on_outcome`` is invoked with each outcome as it lands (journaling
     hook); ``max_respawns`` bounds replacement-worker spawns before the
@@ -561,7 +555,6 @@ def execute_jobs(
     shm_blocks: List[object] = []
     trace_refs: Dict[tuple, Tuple[str, str]] = {}
     ref_hook = getattr(store, "trace_ref", None)
-    columnar = getattr(store, "columnar", None) if shared_memory else None
     for index, job in enumerate(jobs):
         trace_key = job.trace_key
         if outcomes[index] is not None or trace_key in trace_refs:
@@ -580,19 +573,18 @@ def execute_jobs(
             if hook_ref is not None:
                 trace_refs[trace_key] = (hook_ref[0], hook_ref[1])
                 continue
-        if columnar is not None:
-            try:
-                with span("shm_pack"):
-                    block = columnar(
-                        job.workload, job.cap, optimize=job.optimize
-                    ).to_shared_memory()
-            except Exception:  # noqa: BLE001 - shm is an optimization, not a requirement
-                pass
-            else:
-                shm_blocks.append(block)
-                if shm_manifest is not None:
-                    shm_manifest.register(block.name)
-                ref = ("shm", block.name)
+        try:
+            with span("shm_pack"):
+                block = store.columnar(
+                    job.workload, job.cap, optimize=job.optimize
+                ).to_shared_memory()
+        except Exception:  # noqa: BLE001 - shm is an optimization, not a requirement
+            pass
+        else:
+            shm_blocks.append(block)
+            if shm_manifest is not None:
+                shm_manifest.register(block.name)
+            ref = ("shm", block.name)
         trace_refs[trace_key] = ref
     enqueued_at = time.time() if metrics else None
     tasks: List[Tuple[int, dict, Tuple[str, str], Optional[float]]] = [

@@ -494,7 +494,7 @@ def _trace_digest_for(store, job: AnalysisJob) -> Optional[str]:
         if getattr(store, "directory", None):
             _, digest = store.ensure_on_disk(job.workload, job.cap, optimize=job.optimize)
             return digest
-        return store.trace(job.workload, job.cap, optimize=job.optimize).digest()
+        return store.columnar(job.workload, job.cap, optimize=job.optimize).digest()
     except Exception:  # noqa: BLE001 - surfaced by the executor, not here
         return None
 
@@ -507,7 +507,6 @@ def execute_jobs_resilient(
     timeout: Optional[float] = None,
     progress: Optional[ProgressListener] = None,
     start_method: Optional[str] = None,
-    shared_memory: bool = True,
     retry: Optional[RetryPolicy] = None,
     journal: Optional[RunJournal] = None,
     fail_fast: bool = False,
@@ -658,7 +657,6 @@ def execute_jobs_resilient(
                     timeout=timeout,
                     progress=remap_event,
                     start_method=start_method,
-                    shared_memory=shared_memory,
                     on_outcome=land,
                     max_respawns=max(4, 2 * worker_count),
                     shm_manifest=manifest,

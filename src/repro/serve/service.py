@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -55,8 +54,8 @@ from repro.serve.state import (
     JobRegistry,
     QueueFullError,
 )
-from repro.trace.buffer import TraceBuffer
-from repro.trace.io import read_trace_digest, write_trace_file
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.io import TraceFormatError
 
 
 class SpecError(ValueError):
@@ -99,11 +98,12 @@ class ServeConfig:
 class ServeStore:
     """A :class:`TraceStore` that also serves uploaded PGT2 traces.
 
-    Uploads are registered in the base store's memory cache under a
-    content-derived name (``upload-<digest prefix>``), so the engine pool's
-    disk-spill and shared-memory machinery work on them unchanged (the
-    same composition trick as ``repro.verify``'s ``GeneratedTraceStore``);
-    suite workload names fall through to the normal store.
+    Uploads are :meth:`~TraceStore.register`-ed with the base store under
+    a content-derived name (``upload-<digest prefix>``), so the engine
+    pool's disk-spill and shared-memory machinery work on them unchanged
+    (the same composition trick as ``repro.verify``'s
+    ``GeneratedTraceStore``); suite workload names fall through to the
+    normal store.
 
     Uploads live under a byte budget: registering one that would exceed
     ``upload_budget`` evicts least-recently-used uploads first, skipping
@@ -131,8 +131,9 @@ class ServeStore:
 
     # -- uploads -----------------------------------------------------------
 
-    def add_upload(self, trace: TraceBuffer, size: Optional[int] = None) -> Tuple[str, int]:
-        """Register an uploaded trace; returns its (name, cap). Identical
+    def add_upload(self, trace, size: Optional[int] = None) -> Tuple[str, int]:
+        """Register an uploaded trace (columnar, or a tuple buffer the base
+        store packs into columns); returns its (name, cap). Identical
         uploads land on the same name — uploads dedupe by content too.
         ``size`` is the wire size charged against the upload budget;
         raises :class:`UploadBudgetError` when it cannot be made to fit."""
@@ -151,7 +152,7 @@ class ServeStore:
                     f"{self.upload_budget} byte upload budget"
                 )
             self._evict_uploads(self.upload_budget - charged)
-        self._base._memory[(name, cap, False)] = trace
+        self._base.register(name, trace)
         self._uploads[name] = cap
         self._upload_sizes[name] = charged
         self._upload_total += charged
@@ -169,7 +170,7 @@ class ServeStore:
                 continue
             cap = self._uploads.pop(name)
             self._upload_total -= self._upload_sizes.pop(name)
-            self._base._memory.pop((name, cap, False), None)
+            self._base.unregister(name, cap)
             obs.inc("serve.upload_evictions")
         if self._upload_total > budget:
             raise UploadBudgetError(
@@ -189,59 +190,33 @@ class ServeStore:
     def upload_bytes(self) -> int:
         return self._upload_total
 
-    def _require_upload(self, name: str, cap: int, optimize: bool) -> TraceBuffer:
-        if optimize or self._uploads.get(name) != cap:
+    def _check(self, workload, cap: int, optimize: bool) -> None:
+        """Refuse an upload name at a cap (or optimization) it was not
+        uploaded with, rather than let the base store look for a suite
+        workload of that name."""
+        name = workload if isinstance(workload, str) else workload.name
+        if name in self._uploads and (optimize or self._uploads[name] != cap):
             raise KeyError(
                 f"unknown uploaded trace {name!r} at cap {cap} (optimize={optimize})"
             )
-        return self._base._memory[(name, cap, False)]
 
     # -- TraceStore protocol -----------------------------------------------
 
     def trace(self, workload, cap: int = DEFAULT_CAP, optimize: bool = False):
-        name = workload if isinstance(workload, str) else workload.name
-        if name in self._uploads:
-            return self._require_upload(name, cap, optimize)
+        self._check(workload, cap, optimize)
         return self._base.trace(workload, cap, optimize)
 
     def columnar(self, workload, cap: int = DEFAULT_CAP, optimize: bool = False):
-        name = workload if isinstance(workload, str) else workload.name
-        if name in self._uploads:
-            self._require_upload(name, cap, optimize)
-            return self._base.columnar(name, cap, optimize)
+        self._check(workload, cap, optimize)
         return self._base.columnar(workload, cap, optimize)
 
     def ensure_on_disk(self, workload, cap: int = DEFAULT_CAP, optimize: bool = False):
-        name = workload if isinstance(workload, str) else workload.name
-        if name not in self._uploads:
-            return self._base.ensure_on_disk(workload, cap, optimize)
-        trace = self._require_upload(name, cap, optimize)
-        if not self.directory:
-            raise ValueError("ensure_on_disk requires a disk-backed store")
-        path = self._base._path(name, cap, optimize)
-        digest = trace.digest()
-        if os.path.exists(path):
-            try:
-                if read_trace_digest(path) == digest:
-                    return path, digest
-            except Exception:  # noqa: BLE001 - stale/corrupt file; rewrite below
-                pass
-        write_trace_file(path, trace)
-        return path, digest
+        self._check(workload, cap, optimize)
+        return self._base.ensure_on_disk(workload, cap, optimize)
 
     def invalidate(self, workload, cap: int = DEFAULT_CAP, optimize: bool = False) -> bool:
-        name = workload if isinstance(workload, str) else workload.name
-        if name in self._uploads:
-            # The memory copy is the source of truth for uploads; only the
-            # disk spill can go stale.
-            path = self._base._path(name, cap, optimize)
-            if path and os.path.exists(path):
-                try:
-                    os.remove(path)
-                    return True
-                except OSError:
-                    return False
-            return False
+        # An upload's memory copy is its source of truth: the base store
+        # drops only the disk spill of a registered trace.
         return self._base.invalidate(workload, cap, optimize)
 
     def full_run_length(self, workload) -> int:
@@ -499,40 +474,26 @@ class AnalysisService:
     async def upload(self, payload: bytes) -> Tuple[str, int, str]:
         """Register an uploaded PGT2 trace; returns (name, cap, digest).
 
-        The temp-file write, parse, and digest run on the I/O executor so
-        a large body never stalls the event loop; registration (budget
+        The decode and digest check run on the I/O executor so a large
+        body never stalls the event loop; registration (budget
         accounting, eviction) happens back on the loop thread, where the
         pin check can read the registry safely.
         """
         loop = self._loop if self._loop is not None else asyncio.get_running_loop()
-        trace, digest = await loop.run_in_executor(
-            self._io_executor, self._parse_upload, payload
-        )
+        trace = await loop.run_in_executor(self._io_executor, self._parse_upload, payload)
         name, cap = self.store.add_upload(trace, size=len(payload))
         self._bump("uploads")
         obs.gauge_set("serve.upload_bytes", self.store.upload_bytes)
-        return name, cap, digest
+        return name, cap, trace.digest()
 
     @staticmethod
-    def _parse_upload(payload: bytes) -> Tuple[TraceBuffer, str]:
-        import tempfile
-
-        from repro.trace.io import TraceFormatError, read_trace_file
-
-        handle = tempfile.NamedTemporaryFile(suffix=".pgt2", delete=False)
+    def _parse_upload(payload: bytes) -> ColumnarTrace:
+        """Decode request bytes straight into columns (no temp file, no
+        tuples), verifying the header digest."""
         try:
-            with handle:
-                handle.write(payload)
-            try:
-                trace = read_trace_file(handle.name)
-            except TraceFormatError as error:
-                raise SpecError(f"bad PGT2 payload: {error}") from None
-        finally:
-            try:
-                os.remove(handle.name)
-            except OSError:
-                pass
-        return trace, trace.digest()
+            return ColumnarTrace.from_bytes(payload)
+        except TraceFormatError as error:
+            raise SpecError(f"bad PGT2 payload: {error}") from None
 
     # -- dispatch ----------------------------------------------------------
 

@@ -45,6 +45,7 @@ from repro.trace.io import (
     read_header,
     scan_columns,
     scan_columns_fast,
+    walk_record_heads,
 )
 from repro.trace.segments import SegmentMap
 
@@ -393,18 +394,12 @@ def iter_chunks(
                     # Record heads (chunk-relative) collected during the
                     # boundary walk feed the vectorized column gather below,
                     # so numpy decode costs no second walk.
-                    heads = [0] * (chunk_count + 1)
-                    for position in range(chunk_count):
-                        head = offset
-                        if head + _HEAD_SIZE > size:
-                            raise TraceFormatError("truncated record header")
-                        heads[position] = head - chunk_offset
-                        offset = head + _HEAD_SIZE + 4 * (
-                            payload[head + 2] + payload[head + 3]
-                        )
-                        if offset > size:
-                            raise TraceFormatError("truncated record body")
-                    heads[chunk_count] = offset - chunk_offset
+                    rest = payload[chunk_offset:]
+                    try:
+                        heads = walk_record_heads(rest, chunk_count)
+                    finally:
+                        rest.release()
+                    offset = chunk_offset + heads[chunk_count]
                     chunk_view = payload[chunk_offset:offset]
                     try:
                         hasher.update(chunk_view)

@@ -18,10 +18,13 @@ dest_offsets, dest_values  CSR-encoded destination-location lists
 Record ``i``'s sources are ``src_values[src_offsets[i]:src_offsets[i+1]]``
 (likewise destinations), so the per-family analysis loops in
 :mod:`repro.core.stream` scan plain machine integers with no per-record
-allocation. The columnar form is buildable from a ``TraceBuffer``, decodable
-directly from PGT2 files (without materializing tuples), and packable
-into POSIX shared memory so the parallel engine's workers can attach the
-parent's copy zero-copy instead of re-decoding the trace file per process.
+allocation. Columns come from PGT2 bytes only: decoded from a file (or
+an in-memory copy of one) without materializing tuples, or, for a
+``TraceBuffer``, from its records packed once into a PGT2 record stream.
+Either way the trace carries the digest of the bytes it was decoded from.
+The columnar form is packable into POSIX shared memory so the parallel
+engine's workers can attach the parent's copy zero-copy instead of
+re-decoding the trace file per process.
 
 Content identity is preserved across every representation: ``digest()``
 equals :meth:`TraceBuffer.digest` for the same records, the PGT2 header
@@ -36,7 +39,13 @@ from typing import Iterator, Optional, Tuple
 
 from repro.isa.opclasses import OpClass
 from repro.trace.buffer import TraceBuffer
-from repro.trace.io import digest_records, read_trace_payload, scan_columns_fast
+from repro.trace.io import (
+    digest_records,
+    pack_records,
+    parse_trace_bytes,
+    read_trace_payload,
+    scan_columns_fast,
+)
 from repro.trace.record import FLAG_CONDITIONAL, TraceRecord
 from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
 
@@ -110,46 +119,25 @@ class ColumnarTrace:
 
     @classmethod
     def from_buffer(cls, buffer: TraceBuffer) -> "ColumnarTrace":
-        """Flatten an in-memory tuple trace into columns. The buffer's
-        cached digest (if already computed) carries over; otherwise the
-        digest is computed lazily on first :meth:`digest` call."""
+        """Columns for an in-memory tuple trace, through the PGT2 codec:
+        the records are packed once into a record stream, whose digest
+        comes with the packing, and decoded like a file's."""
         count = len(buffer)
-        opclass = array("q", bytes(8 * count))
-        flags = array("q", bytes(8 * count))
-        aux = array("q", bytes(8 * count))
-        src_offsets = array("q", bytes(8 * (count + 1)))
-        dest_offsets = array("q", bytes(8 * (count + 1)))
-        src_values = array("q")
-        dest_values = array("q")
-        for index, (klass, srcs, dests, flag, auxval) in enumerate(buffer.records):
-            opclass[index] = klass
-            flags[index] = flag
-            aux[index] = auxval
-            src_values.extend(srcs)
-            dest_values.extend(dests)
-            src_offsets[index + 1] = len(src_values)
-            dest_offsets[index + 1] = len(dest_values)
-        trace = cls(
-            opclass,
-            flags,
-            aux,
-            src_offsets,
-            src_values,
-            dest_offsets,
-            dest_values,
-            buffer.segments,
-            digest=buffer._digest,
-        )
-        trace._buffer = buffer  # to_buffer() round-trips for free
-        return trace
+        payload, digest = pack_records(buffer.segments, count, buffer.records)
+        return cls(*scan_columns_fast(payload, count), buffer.segments, digest=digest)
 
     @classmethod
     def from_file(cls, path) -> "ColumnarTrace":
         """Decode a PGT2 trace file straight into columns — no per-record
         tuples — verifying the header content digest."""
         segments, count, digest, payload = read_trace_payload(path)
-        columns = scan_columns_fast(payload, count)
-        return cls(*columns, segments, digest=digest)
+        return cls(*scan_columns_fast(payload, count), segments, digest=digest)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "ColumnarTrace":
+        """:meth:`from_file` over a whole PGT2 file held in memory."""
+        segments, count, digest, payload = parse_trace_bytes(data)
+        return cls(*scan_columns_fast(payload, count), segments, digest=digest)
 
     # -- record views ------------------------------------------------------
 
@@ -204,8 +192,16 @@ class ColumnarTrace:
 
     def digest(self) -> str:
         """Stable content digest — identical to the same trace's
-        :meth:`TraceBuffer.digest` and PGT2 header digest."""
+        :meth:`TraceBuffer.digest` and PGT2 header digest.
+
+        Every decoded or packed trace carries the digest of the bytes it
+        came from; only a digest-less slice (a streamed chunk, a syscall
+        prefix) re-derives it from reconstructed records, counted as
+        ``trace.digest_from_records``."""
         if self._digest is None:
+            from repro.obs import metrics as obs
+
+            obs.inc("trace.digest_from_records")
             self._digest = digest_records(self.segments, len(self), iter(self))
         return self._digest
 

@@ -1,4 +1,5 @@
-"""Binary trace file format (streaming reader/writer).
+"""Binary trace file format: the PGT2 codec (streaming writer, digest-verified
+columnar decode).
 
 The paper's Pixie traces were produced once and analyzed many times under
 different Paragraph configurations; this module plays the same role. Because
@@ -38,7 +39,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from array import array
-from typing import BinaryIO, Iterable, Iterator, Optional, Tuple
+from io import BytesIO
+from typing import BinaryIO, Iterable, Tuple
 
 from repro.trace.buffer import TraceBuffer
 from repro.trace.record import TraceRecord
@@ -93,10 +95,19 @@ def digest_records(segments: SegmentMap, count: int, records: Iterable[TraceReco
     """Content digest over an arbitrary record iterable (shared by
     :func:`trace_digest` and the columnar trace, which reconstructs records
     from its flat columns)."""
+    return pack_records(segments, count, records)[1]
+
+
+def pack_records(
+    segments: SegmentMap, count: int, records: Iterable[TraceRecord]
+) -> Tuple[bytes, str]:
+    """Encode ``count`` records as one PGT2 record stream; returns
+    ``(payload, digest)`` — the bytes :func:`write_trace` puts after the
+    header, and the header digest over them."""
+    payload = b"".join(map(_pack_record, records))
     hasher = _digest_hasher(segments, count)
-    for record in records:
-        hasher.update(_pack_record(record))
-    return hasher.hexdigest()
+    hasher.update(payload)
+    return payload, hasher.hexdigest()
 
 
 def write_trace(
@@ -150,10 +161,12 @@ def write_trace(
     return digest.hex()
 
 
-def write_trace_file(path, trace: TraceBuffer) -> str:
-    """Write an in-memory trace buffer to ``path``; returns its digest."""
+def write_trace_file(path, trace) -> str:
+    """Write an in-memory trace (a :class:`TraceBuffer`, or anything else
+    that iterates records and carries ``segments``, such as a columnar
+    trace) to ``path``; returns its digest."""
     with open(path, "wb") as stream:
-        return write_trace(stream, trace.records, trace.segments, len(trace))
+        return write_trace(stream, trace, trace.segments, len(trace))
 
 
 def read_header(stream: BinaryIO) -> Tuple[SegmentMap, int, str]:
@@ -190,36 +203,6 @@ def read_trace_digest(path) -> str:
     return digest
 
 
-def iter_trace(
-    stream: BinaryIO, hasher: Optional["hashlib._Hash"] = None
-) -> Iterator[TraceRecord]:
-    """Stream records from an open trace file positioned after the header.
-
-    When ``hasher`` is given, every raw record byte is fed to it so the
-    caller can verify the header digest after exhausting the iterator.
-    """
-    read = stream.read
-    unpack_head = _REC_HEAD.unpack
-    head_size = _REC_HEAD.size
-    while True:
-        raw = read(head_size)
-        if not raw:
-            return
-        if len(raw) != head_size:
-            raise TraceFormatError("truncated record header")
-        opclass, flags, nsrcs, ndests, aux = unpack_head(raw)
-        body = read(4 * (nsrcs + ndests))
-        if len(body) != 4 * (nsrcs + ndests):
-            raise TraceFormatError("truncated record body")
-        if hasher is not None:
-            hasher.update(raw)
-            hasher.update(body)
-        all_locs = struct.unpack(f"<{nsrcs + ndests}I", body) if nsrcs + ndests else ()
-        srcs = all_locs[:nsrcs]
-        dests = all_locs[nsrcs:]
-        yield (opclass, srcs, dests, flags, aux)
-
-
 def read_trace_payload(path) -> Tuple[SegmentMap, int, str, bytes]:
     """Read a trace file's header plus its raw packed record stream in one
     gulp, verifying the content digest.
@@ -230,13 +213,23 @@ def read_trace_payload(path) -> Tuple[SegmentMap, int, str, bytes]:
     which parses the packed stream without building per-record tuples.
     """
     with open(path, "rb") as stream:
-        segments, count, digest = read_header(stream)
-        payload = stream.read()
+        return _verified_payload(stream, path)
+
+
+def parse_trace_bytes(data: bytes) -> Tuple[SegmentMap, int, str, bytes]:
+    """:func:`read_trace_payload` over a whole PGT2 file held in memory
+    (an uploaded trace): same header checks, same digest verification."""
+    return _verified_payload(BytesIO(data), "uploaded trace")
+
+
+def _verified_payload(stream: BinaryIO, source) -> Tuple[SegmentMap, int, str, bytes]:
+    segments, count, digest = read_header(stream)
+    payload = stream.read()
     hasher = _digest_hasher(segments, count)
     hasher.update(payload)
     if hasher.hexdigest() != digest:
         raise TraceFormatError(
-            f"trace digest mismatch in {path}: file is stale or corrupted"
+            f"trace digest mismatch in {source}: file is stale or corrupted"
         )
     return segments, count, digest, payload
 
@@ -405,20 +398,10 @@ def scan_columns_fast(payload, count: int):
 def read_trace_file(path) -> TraceBuffer:
     """Read a whole trace file into a :class:`TraceBuffer`, verifying the
     record count and content digest; any mismatch raises
-    :class:`TraceFormatError` rather than returning corrupt data."""
+    :class:`TraceFormatError` rather than returning corrupt data. Decodes
+    through :meth:`ColumnarTrace.from_file`, then materializes tuples."""
     from repro.obs import metrics as obs
+    from repro.trace.columnar import ColumnarTrace
 
     obs.inc("trace_io.file_reads")
-    with open(path, "rb") as stream:
-        segments, count, digest = read_header(stream)
-        hasher = _digest_hasher(segments, count)
-        records = list(iter_trace(stream, hasher))
-    if len(records) != count:
-        raise TraceFormatError(f"header promised {count} records, file holds {len(records)}")
-    if hasher.hexdigest() != digest:
-        raise TraceFormatError(
-            f"trace digest mismatch in {path}: file is stale or corrupted"
-        )
-    trace = TraceBuffer(records, segments)
-    trace._digest = digest
-    return trace
+    return ColumnarTrace.from_file(path).to_buffer()

@@ -51,7 +51,6 @@ greedy record deletion, and persisted as replayable artifacts
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -405,46 +404,27 @@ class GeneratedTraceStore:
     def add(self, name: str, trace: TraceBuffer) -> int:
         """Register a generated trace; returns the cap (= record count)
         jobs against it must use."""
-        cap = max(1, len(trace))
-        self._base._memory[(name, cap, False)] = trace
+        cap = self._base.register(name, trace)
         self._names[name] = cap
         return cap
 
-    def _require(self, name: str, cap: int, optimize: bool) -> TraceBuffer:
+    def _require(self, workload, cap: int, optimize: bool) -> str:
+        name = workload if isinstance(workload, str) else workload.name
         if optimize or self._names.get(name) != cap:
             raise KeyError(
                 f"unknown generated trace {name!r} at cap {cap} "
                 f"(optimize={optimize})"
             )
-        return self._base._memory[(name, cap, False)]
+        return name
 
     def trace(self, workload, cap: int, optimize: bool = False) -> TraceBuffer:
-        name = workload if isinstance(workload, str) else workload.name
-        return self._require(name, cap, optimize)
+        return self._base.trace(self._require(workload, cap, optimize), cap)
 
     def columnar(self, workload, cap: int, optimize: bool = False):
-        name = workload if isinstance(workload, str) else workload.name
-        self._require(name, cap, optimize)
-        return self._base.columnar(name, cap, optimize)
+        return self._base.columnar(self._require(workload, cap, optimize), cap)
 
     def ensure_on_disk(self, workload, cap: int, optimize: bool = False):
-        name = workload if isinstance(workload, str) else workload.name
-        trace = self._require(name, cap, optimize)
-        if not self.directory:
-            raise ValueError("ensure_on_disk requires a disk-backed store")
-        from repro.trace.io import TraceFormatError, read_trace_digest, write_trace_file
-
-        path = self._base._path(name, cap, optimize)
-        digest = trace.digest()
-        on_disk = None
-        if path and os.path.exists(path):
-            try:
-                on_disk = read_trace_digest(path)
-            except TraceFormatError:
-                on_disk = None
-        if on_disk != digest:
-            write_trace_file(path, trace)
-        return path, digest
+        return self._base.ensure_on_disk(self._require(workload, cap, optimize), cap)
 
     def invalidate(self, workload, cap: int, optimize: bool = False) -> bool:
         return self._base.invalidate(workload, cap, optimize)

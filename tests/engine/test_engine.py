@@ -85,8 +85,6 @@ class TestSharedTraceReuse:
         # so worker-side decodes (there must be none) would show up too.
         log = tmp_path / "decodes.log"
 
-        import repro.engine.pool as pool_module
-        import repro.harness.runner as runner_module
         import repro.trace.io as io_module
         from repro.trace.columnar import ColumnarTrace
 
@@ -98,17 +96,25 @@ class TestSharedTraceReuse:
             return original_from_file(cls, path)
 
         original_read = io_module.read_trace_file
+        original_to_buffer = ColumnarTrace.to_buffer
 
         def counted_read(path):
             with open(log, "a") as handle:
                 handle.write(f"tuple {os.getpid()}\n")
             return original_read(path)
 
+        def counted_to_buffer(self):
+            with open(log, "a") as handle:
+                handle.write(f"tuple {os.getpid()}\n")
+            return original_to_buffer(self)
+
         monkeypatch.setattr(
             ColumnarTrace, "from_file", classmethod(counted_from_file)
         )
-        monkeypatch.setattr(pool_module, "read_trace_file", counted_read)
-        monkeypatch.setattr(runner_module, "read_trace_file", counted_read)
+        # Tuple decodes: a whole-file tuple read, or tuples materialized
+        # from columns.
+        monkeypatch.setattr(io_module, "read_trace_file", counted_read)
+        monkeypatch.setattr(ColumnarTrace, "to_buffer", counted_to_buffer)
 
         # Fresh store on the warm directory: nothing in memory, so every
         # trace the grid needs has to come through a counted decode path.

@@ -5,9 +5,29 @@ import os
 import pytest
 
 from repro.harness.runner import TraceStore
+from repro.obs import metrics as obs
+from repro.obs.metrics import MetricsRegistry
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import read_trace_digest, write_trace_file
 from repro.trace.synthetic import random_trace
 from repro.workloads.suite import load_workload
+
+
+@pytest.fixture
+def registry():
+    previous = obs.registry()
+    registry = MetricsRegistry()
+    obs.set_registry(registry)
+    yield registry
+    obs.set_registry(previous)
+
+
+def counters(registry, prefix):
+    return {
+        name[len(prefix) :]: value
+        for name, value in registry.snapshot()["counters"].items()
+        if name.startswith(prefix) and value
+    }
 
 
 class TestMemoryCache:
@@ -33,6 +53,60 @@ class TestMemoryCache:
         optimized = store.trace("xlispx", 1000, optimize=True)
         assert plain is not optimized
         assert store.trace("xlispx", 1000, optimize=True) is optimized
+
+
+class TestColdColumnar:
+    """A cold trace is simulated once and decoded from its PGT2 bytes: the
+    columns are never iterated back into records, and their digest is the
+    one those bytes carry."""
+
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_cold_columnar_decodes_without_iterating(
+        self, tmp_path, monkeypatch, registry, on_disk
+    ):
+        directory = str(tmp_path / "traces") if on_disk else None
+        simulated = load_workload("xlispx").trace(max_instructions=1200)
+
+        def refuse(self):
+            raise AssertionError("cold columnar() iterated its columns")
+
+        monkeypatch.setattr(ColumnarTrace, "__iter__", refuse)
+        columnar = TraceStore(directory).columnar("xlispx", 1200)
+        assert len(columnar) == 1200
+        assert columnar.digest() == simulated.digest()
+        if on_disk:
+            path = os.path.join(directory, "xlispx.1200.pgt")
+            assert read_trace_digest(path) == columnar.digest()
+        assert counters(registry, "trace.digest_from_records") == {}
+
+
+class TestRegister:
+    def test_registered_trace_served_and_spilled(self, tmp_path):
+        store = TraceStore(str(tmp_path))
+        trace = random_trace(seed=3, length=150)
+        cap = store.register("case-1", trace)
+        assert cap == 150
+        assert store.columnar("case-1", cap).digest() == trace.digest()
+        assert store.trace("case-1", cap).records == trace.records
+        path, digest = store.ensure_on_disk("case-1", cap)
+        assert digest == trace.digest() == read_trace_digest(path)
+
+    def test_invalidate_keeps_registered_trace(self, tmp_path):
+        store = TraceStore(str(tmp_path))
+        trace = random_trace(seed=3, length=150)
+        cap = store.register("case-1", trace)
+        path, _ = store.ensure_on_disk("case-1", cap)
+        assert store.invalidate("case-1", cap) is True  # the disk spill went
+        assert not os.path.exists(path)
+        assert store.columnar("case-1", cap).digest() == trace.digest()
+
+    def test_unregister_forgets(self):
+        store = TraceStore()
+        cap = store.register("case-1", random_trace(seed=3, length=10))
+        assert store.unregister("case-1", cap) is True
+        assert store.unregister("case-1", cap) is False
+        with pytest.raises(KeyError):
+            store.columnar("case-1", cap)  # no workload of that name
 
 
 class TestDiskCache:
@@ -112,6 +186,34 @@ class TestStaleness:
             assert any("regenerating" in message for message in caplog.messages)
             caplog.clear()
 
+    @pytest.mark.parametrize("stale", ["format_error", "over_cap"])
+    def test_stale_file_decoded_once_and_counted_once(
+        self, tmp_path, caplog, registry, monkeypatch, stale
+    ):
+        directory, path, fresh = self._cache_file(tmp_path)
+        if stale == "format_error":
+            data = bytearray(open(path, "rb").read())
+            data[-2] ^= 0xFF
+            open(path, "wb").write(bytes(data))
+        else:
+            write_trace_file(path, random_trace(seed=1, length=1600))
+        decodes = []
+        original = ColumnarTrace.from_file.__func__
+
+        def counted(cls, target):
+            decodes.append(target)
+            return original(cls, target)
+
+        monkeypatch.setattr(ColumnarTrace, "from_file", classmethod(counted))
+        with caplog.at_level("WARNING", logger="repro.harness.runner"):
+            reloaded = TraceStore(directory).columnar("xlispx", 1500)
+        assert reloaded.digest() == fresh.digest()
+        warnings = [m for m in caplog.messages if "regenerating" in m]
+        assert len(warnings) == 1
+        assert counters(registry, "trace_store.regenerate.") == {stale: 1}
+        # the stale file once, then the rewritten file once
+        assert decodes == [path, path]
+
     def test_invalidate_drops_all_cached_forms(self, tmp_path):
         directory, path, fresh = self._cache_file(tmp_path)
         store = TraceStore(directory)
@@ -148,13 +250,17 @@ class TestEnsureOnDisk:
         assert digest == store.trace("xlispx", 1000).digest()
         assert read_trace_digest(path) == digest
 
-    def test_cold_file_needs_header_only(self, tmp_path):
+    def test_cold_file_needs_header_only(self, tmp_path, monkeypatch):
         _, digest = TraceStore(str(tmp_path)).ensure_on_disk("xlispx", 1000)
         cold = TraceStore(str(tmp_path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ensure_on_disk loaded the records")
+
+        monkeypatch.setattr(cold, "columnar", refuse)
         path, cold_digest = cold.ensure_on_disk("xlispx", 1000)
-        assert cold_digest == digest
         # records were never loaded: the digest came from the file header
-        assert ("xlispx", 1000, False) not in cold._memory
+        assert cold_digest == digest
 
     def test_divergent_disk_file_rewritten(self, tmp_path):
         store = TraceStore(str(tmp_path))

@@ -75,7 +75,10 @@ class TestToBuffer:
         assert columnar.to_buffer() is columnar.to_buffer()
 
     def test_from_buffer_round_trips_for_free(self, buffer):
-        assert ColumnarTrace.from_buffer(buffer).to_buffer() is buffer
+        # Equal, not identical: the columns do not pin their source buffer.
+        round_trip = ColumnarTrace.from_buffer(buffer).to_buffer()
+        assert round_trip.records == buffer.records
+        assert round_trip.digest() == buffer.digest()
 
     def test_decoded_trace_buffer_keeps_digest(self, buffer, tmp_path):
         path = tmp_path / "trace.pgt"

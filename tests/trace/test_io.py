@@ -12,7 +12,6 @@ from repro.trace.io import (
     LEGACY_MAGIC,
     MAGIC,
     TraceFormatError,
-    iter_trace,
     read_header,
     read_trace_digest,
     read_trace_file,
@@ -50,15 +49,16 @@ class TestRoundTrip:
     @given(seed=st.integers(0, 10_000), length=st.integers(0, 150))
     def test_round_trip_property(self, seed, length, tmp_path_factory):
         trace = random_trace(seed=seed, length=length)
-        stream = io.BytesIO()
-        write_trace(stream, trace.records, trace.segments, len(trace))
-        stream.seek(0)
-        segments, count, digest = read_header(stream)
-        records = list(iter_trace(stream))
+        path = tmp_path_factory.mktemp("round-trip") / "t.pgt"
+        with open(path, "wb") as stream:
+            write_trace(stream, trace.records, trace.segments, len(trace))
+        with open(path, "rb") as stream:
+            segments, count, digest = read_header(stream)
+        loaded = read_trace_file(path)
         assert count == length
-        assert records == trace.records
-        assert segments == trace.segments
-        assert digest == trace_digest(trace)
+        assert loaded.records == trace.records
+        assert segments == loaded.segments == trace.segments
+        assert digest == loaded.digest() == trace_digest(trace)
 
 
 class TestDigest:
