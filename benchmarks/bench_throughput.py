@@ -18,8 +18,6 @@ from repro.core.analyzer import analyze
 from repro.core.config import AnalysisConfig
 from repro.core.stream import stream_analyze_file
 from repro.cpu.machine import Machine
-from repro.engine import ExperimentEngine
-from repro.engine.shards import shard_analyze_file
 from repro.trace.columnar import ColumnarTrace
 from repro.workloads.suite import load_workload
 
@@ -60,24 +58,16 @@ def test_columnar_decode_from_file(benchmark, store, bench_trace):
 
 
 # --- streaming vs in-memory -------------------------------------------------
-# Same trace (cc1x@100k carries real conservative-syscall firewalls, so the
-# sharded path genuinely splices), same dataflow config, three pipelines:
-# whole-file decode + analyze, chunked frontier streaming, and pool-sharded
-# stitch. check_regression.py --stream-gate turns the same-run ratios into a
-# gating bound on streaming/sharding overhead (machine speed cancels out).
+# Same trace (cc1x@100k), same dataflow config, two pipelines: whole-file
+# decode + analyze, and chunked frontier streaming. check_regression.py
+# --stream-gate turns the same-run ratio into a gating bound on streaming
+# overhead (machine speed cancels out).
 
 
 @pytest.fixture(scope="module")
 def stream_file(store):
     path, _ = store.ensure_on_disk("cc1x", 100_000)
     return path
-
-
-@pytest.fixture(scope="module")
-def shard_engine():
-    engine = ExperimentEngine(jobs=2)
-    yield engine
-    engine.close()
 
 
 def _record_peak_rss(benchmark):
@@ -98,18 +88,6 @@ def test_inmemory_throughput_from_file(benchmark, stream_file):
 def test_stream_throughput_from_file(benchmark, stream_file):
     result = benchmark(
         stream_analyze_file, stream_file, AnalysisConfig(), chunk_records=16_384
-    )
-    _record_peak_rss(benchmark)
-    assert result.records_processed == 100_000
-
-
-def test_sharded_throughput_pool(benchmark, stream_file, shard_engine):
-    result = benchmark(
-        shard_analyze_file,
-        stream_file,
-        AnalysisConfig(),
-        shard_size=16_384,
-        engine=shard_engine,
     )
     _record_peak_rss(benchmark)
     assert result.records_processed == 100_000

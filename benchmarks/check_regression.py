@@ -17,9 +17,9 @@ quiet-machine comparisons.
 The exceptions are the same-run ratio gates, where machine speed cancels
 out and the ratios are stable enough to gate on:
 
-- ``--stream-gate`` compares the streaming and pool-sharded pipelines
-  against the in-memory pipeline within the same fresh run; a ratio past
-  the overhead bounds exits non-zero and fails CI.
+- ``--stream-gate`` compares the streaming pipeline against the
+  in-memory pipeline within the same fresh run; a ratio past the overhead
+  bound exits non-zero and fails CI.
 """
 
 from __future__ import annotations
@@ -54,20 +54,17 @@ def load_means(path: str) -> dict:
     return means
 
 
-#: Same-run ratio bounds for --stream-gate. Local quiet-machine ratios are
-#: ~1.0x (stream) and ~1.3x (sharded, 2-worker pool incl. IPC); the bounds
-#: leave headroom for runner jitter while still catching a structural
-#: regression (an accidental extra decode, a chunk-boundary quadratic).
-STREAM_GATE_BENCHES = {
-    "stream": "test_stream_throughput_from_file",
-    "sharded": "test_sharded_throughput_pool",
-}
+#: Same-run ratio bounds for --stream-gate. The local quiet-machine ratio
+#: is ~1.0x; the bound leaves headroom for runner jitter while still
+#: catching a structural regression (an accidental extra decode, a
+#: chunk-boundary quadratic).
+STREAM_GATE_BENCHES = {"stream": "test_stream_throughput_from_file"}
 STREAM_GATE_BASELINE = "test_inmemory_throughput_from_file"
-STREAM_GATE_MAX = {"stream": 1.6, "sharded": 3.0}
+STREAM_GATE_MAX = {"stream": 1.6}
 
 
 def stream_gate(fresh: dict) -> int:
-    """Gate streaming/sharding overhead on same-run ratios; returns an
+    """Gate streaming overhead on same-run ratios; returns an
     exit code (0 ok, 1 regression, 2 missing benchmarks)."""
     missing = sorted(
         name
@@ -78,7 +75,7 @@ def stream_gate(fresh: dict) -> int:
         print(
             f"check_regression: --stream-gate needs benchmarks {missing} "
             "in the fresh results (run bench_throughput.py with "
-            '-k "from_file or sharded_throughput")',
+            '-k "from_file")',
             file=sys.stderr,
         )
         return 2
@@ -119,7 +116,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--stream-gate",
         action="store_true",
-        help="gate on same-run streaming/sharding overhead ratios "
+        help="gate on same-run streaming overhead ratios "
         "(exits non-zero on regression; skips the baseline diff)",
     )
     args = parser.parse_args(argv)

@@ -42,12 +42,11 @@ from repro.trace.io import write_trace  # noqa: E402
 from repro.trace.segments import DEFAULT_SEGMENTS  # noqa: E402
 from repro.trace.synthetic import random_trace  # noqa: E402
 
-#: One conservative-syscall firewall per this many records (~200 over 10M),
-#: matching the density real workloads showed in the shard experiments.
+#: One conservative-syscall firewall per this many records (~200 over 10M).
 SYSCALL_EVERY = 50_000
 
 #: The deterministic dependency pattern cycled to trace length. Prime, so
-#: the cycle never phase-locks with chunk or shard boundaries.
+#: the cycle never phase-locks with chunk boundaries.
 PATTERN_RECORDS = 4099
 
 

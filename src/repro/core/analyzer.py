@@ -23,9 +23,8 @@ DESIGN.md section 4.
 The pass itself lives in :mod:`repro.core.stream`: a whole-trace analysis
 is ``finalize(advance(new_frontier(...), trace))`` over the columnar
 trace, running the one resumable loop of the configuration's kernel
-family (:func:`repro.core.kernels.select_kernel`). Chunked streaming and
-sharded analysis advance the very same loops, so they cannot drift from
-this entry point. :mod:`repro.core.reference` holds the readable
+family (:func:`repro.core.kernels.select_kernel`). Chunked streaming
+advances the very same loops, so it cannot drift from this entry point. :mod:`repro.core.reference` holds the readable
 reference implementation that tests cross-validate against.
 """
 

@@ -1,4 +1,4 @@
-"""Resumable Paragraph analysis: the placement loops, frontiers, stitching.
+"""Resumable Paragraph analysis: the placement loops and their frontier.
 
 This module holds the one python implementation of the placement rule:
 one loop per kernel family (:func:`repro.core.kernels.select_kernel`),
@@ -17,44 +17,17 @@ monolithic result for *every* configuration: all rename settings, window
 sizes, branch predictors, resource limits, syscall policies, memory
 disambiguation, lifetimes, profiles.
 
-Sharded (parallel) analysis additionally needs segments analyzable *out of
-order*, which is where the paper's conservative syscall firewall earns its
-name twice over. After a conservative syscall placed at level ``L`` the
-floor rises to ``L + 1``, and from that point the pre-firewall past is
-closed off:
-
-- every live-well entry created before the firewall has level ``<= L``,
-  so it contributes exactly ``floor - 1`` to any later placement — the
-  same contribution a first-touch (unknown) location gets;
-- every window-ring entry before the firewall is ``<= L < floor``, so it
-  can never raise the floor again;
-- deepest-use (WAR) and conservative-memory levels from before the
-  firewall are ``<= L``, dominated by the ``floor - 1 + latency`` term of
-  any post-firewall placement.
-
-A segment's records *after its first conservative syscall* can therefore
-be analyzed from a fresh frontier (floor 0, empty well and ring), and the
-resulting :class:`SegmentSummary` later :func:`splice`\\ d onto the true
-frontier by adding a single level offset — the true floor at the cut — to
-every level it exported. The stitch replays only each segment's short
-*prefix* (records up to and including its first syscall) in-process; the
-suffixes, which are the bulk of the trace, run in parallel workers.
-
-Splicing is *exact* but not universal: :func:`splice_eligible` gates it to
-configurations whose state actually closes at a firewall. Optimistic
-syscalls never firewall; branch predictors carry pattern state across any
-cut; constrained resources schedule against absolute level occupancy; and
-lifetime accounting must distinguish values live across the cut from
-preexisting ones. Ineligible configurations stream sequentially through
-``advance`` instead — still bounded-memory, still identical results —
-so sharded analysis is total over the configuration space and never
-silently approximates.
+A cut is invisible to the loops because the frontier carries *all* of
+their state across it: the live well, the floor and deepest placement,
+the window ring and its cursor, the conservative-memory levels, the
+predictor's pattern table, the resource occupancy and the lifetime
+tallies. Chunks must therefore be advanced in trace order, one after the
+other; nothing here analyzes a chunk out of order or in parallel.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Optional
 
@@ -76,6 +49,7 @@ from repro.core.resources import ResourceState
 from repro.core.results import AnalysisResult
 from repro.isa.locations import MEM_BASE
 from repro.isa.opclasses import OpClass
+from repro.trace.chunked import DEFAULT_CHUNK_RECORDS, iter_chunks
 from repro.trace.record import FLAG_CONDITIONAL, FLAG_TAKEN
 from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
 
@@ -84,42 +58,6 @@ _BRANCH = int(OpClass.BRANCH)
 _LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
 
-#: Default records per streaming chunk / shard segment (mirrors
-#: :data:`repro.trace.chunked.DEFAULT_SHARD_RECORDS`).
-DEFAULT_CHUNK_RECORDS = 1 << 20
-
-
-def splice_eligible(config: AnalysisConfig) -> bool:
-    """True when segment summaries for ``config`` can be spliced exactly.
-
-    Requires conservative syscalls (the firewall is the cut), and excludes
-    the features whose state crosses any cut: branch predictors (pattern
-    tables), constrained resources (absolute-level occupancy), and
-    lifetime collection (pass-1 cannot tell a value live across the cut
-    from a preexisting one). Partial renaming, windows, conservative
-    memory disambiguation, and profiles all close at a firewall and stay
-    eligible.
-    """
-    return (
-        config.syscall_policy == CONSERVATIVE
-        and config.branch_predictor is None
-        and (config.resources is None or config.resources.unconstrained)
-        and not config.collect_lifetimes
-    )
-
-
-def align_shard_size(config: AnalysisConfig, shard_size: int) -> int:
-    """Round ``shard_size`` up to a multiple of the configured window so
-    shard cuts land on window-aligned record counts. Not required for
-    correctness (the frontier carries the ring across any cut) but keeps
-    segment boundaries meaningful against Figure 8's window sweeps."""
-    if shard_size < 1:
-        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    window = config.window_size
-    if window:
-        shard_size = ((shard_size + window - 1) // window) * window
-    return shard_size
-
 
 class Frontier:
     """The complete mutable state of one in-progress analysis.
@@ -127,8 +65,8 @@ class Frontier:
     Everything the loops keep in locals lives here between ``advance``
     calls: the live well, the level floor, the deepest
     placement, the instruction-window ring, counters, the parallelism
-    profile, conservative-memory levels, and the (sequential-only)
-    predictor and resource objects.
+    profile, conservative-memory levels, and the predictor and resource
+    objects.
     """
 
     __slots__ = (
@@ -741,175 +679,6 @@ def _advance_generic(fr: Frontier, trace, start: int, end: int) -> None:
     _fold_levels(fr, levels, mark, deepest)
 
 
-# -- segment summaries and splicing -------------------------------------------
-
-
-@dataclass
-class SegmentSummary:
-    """The portable outcome of analyzing one segment's post-firewall suffix
-    from a fresh frontier (local level 0 = the level just past the cut's
-    firewall). All levels inside are *local*; :func:`splice` shifts them by
-    the true floor at the cut.
-
-    Attributes:
-        count: records in the whole segment (prefix + suffix).
-        prefix_count: records up to and including the first conservative
-            syscall — the part the stitch pass replays in-process.
-        generic: True when well entries are the generic loop's
-            ``[level, deepest_use, uses, preexisting]`` lists (vs plain
-            level ints from the specialized loops).
-        floor: local floor after the suffix.
-        deepest: local deepest placement (-1 when the suffix placed none).
-        well: local live well (every location the suffix touched).
-        ring: trailing window levels in recency order (oldest first),
-            at most ``window_size`` entries; ``None`` without a window.
-        mem_store_level / mem_deepest_access: local conservative-memory
-            levels (``NEVER_USED`` when untouched).
-        profile: local level -> placement count (``None`` when off).
-    """
-
-    count: int
-    prefix_count: int
-    generic: bool
-    floor: int
-    deepest: int
-    placed: int
-    syscalls: int
-    firewalls: int
-    branches: int
-    well: dict
-    ring: Optional[List[Optional[int]]]
-    mem_store_level: int
-    mem_deepest_access: int
-    profile: Optional[Dict[int, int]]
-
-
-def _export_ring(fr: Frontier, suffix_records: int) -> Optional[List[Optional[int]]]:
-    """The frontier's ring in recency order (oldest first), trimmed to the
-    entries the suffix actually wrote — never-written init slots would be
-    indistinguishable from a control record's ``None``."""
-    if fr.ring is None:
-        return None
-    ordered = fr.ring[fr.ring_pos :] + fr.ring[: fr.ring_pos]
-    keep = min(suffix_records, len(ordered))
-    return ordered[len(ordered) - keep :] if keep else []
-
-
-def summarize_segment(
-    trace,
-    config: AnalysisConfig,
-    segments: Optional[SegmentMap] = None,
-) -> SegmentSummary:
-    """Pass 1 of sharded analysis: run ``trace`` (one standalone segment)
-    past its first conservative syscall from a fresh frontier and export
-    the summary. Raises ``ValueError`` for configurations that cannot be
-    spliced or segments with no syscall — callers gate on
-    :func:`splice_eligible` and the manifest's ``first_syscall``."""
-    if not splice_eligible(config):
-        raise ValueError("configuration is not splice-eligible")
-    trace = as_columnar(trace)
-    if segments is None:
-        segments = trace.segments
-    ops = trace.opclass
-    count = len(ops)
-    cut = -1
-    for index in range(count):
-        if ops[index] == _SYSCALL:
-            cut = index
-            break
-    if cut < 0:
-        raise ValueError("segment has no syscall to cut at")
-    return _summarize_range(trace, config, segments, cut + 1, count, count)
-
-
-def _summarize_range(
-    trace,
-    config: AnalysisConfig,
-    segments: SegmentMap,
-    suffix_start: int,
-    suffix_end: int,
-    segment_count: int,
-) -> SegmentSummary:
-    """Fresh-frontier analysis of ``trace[suffix_start:suffix_end]``
-    exported as a summary for a ``segment_count``-record segment whose
-    first syscall is record ``suffix_start - 1`` of the range."""
-    fr = new_frontier(config, segments)
-    advance(fr, trace, suffix_start, suffix_end)
-    return SegmentSummary(
-        count=segment_count,
-        prefix_count=segment_count - (suffix_end - suffix_start),
-        generic=fr.kernel == KERNEL_GENERIC,
-        floor=fr.floor,
-        deepest=fr.deepest,
-        placed=fr.placed,
-        syscalls=fr.syscalls,
-        firewalls=fr.firewalls,
-        branches=fr.branches,
-        well=fr.well,
-        ring=_export_ring(fr, suffix_end - suffix_start),
-        mem_store_level=fr.mem_store_level,
-        mem_deepest_access=fr.mem_deepest_access,
-        profile=fr.profile,
-    )
-
-
-def splice(fr: Frontier, summary: SegmentSummary) -> Frontier:
-    """Graft a segment suffix's summary onto ``fr``.
-
-    ``fr`` must stand exactly at the cut: its last record was the
-    segment's first conservative syscall, so ``fr.floor`` is the true
-    level offset of every local level in the summary. The overlay is
-    exact (see the module docstring's closure argument), and a location
-    present on both sides takes the summary's entry — its pre-cut level
-    is ``< floor`` and would contribute ``floor - 1`` anyway.
-    """
-    offset = fr.floor
-    never = NEVER_USED
-    well = fr.well
-    if summary.generic:
-        for loc, entry in summary.well.items():
-            deepest_use = entry[1]
-            well[loc] = [
-                entry[0] + offset,
-                deepest_use if deepest_use == never else deepest_use + offset,
-                entry[2],
-                entry[3],
-            ]
-    else:
-        for loc, level in summary.well.items():
-            well[loc] = level + offset
-    if summary.deepest >= 0 and summary.deepest + offset > fr.deepest:
-        fr.deepest = summary.deepest + offset
-    fr.floor = summary.floor + offset
-    if fr.ring is not None and summary.ring is not None:
-        window = len(fr.ring)
-        ordered = fr.ring[fr.ring_pos :] + fr.ring[: fr.ring_pos]
-        shifted = [
-            level + offset if level is not None else None for level in summary.ring
-        ]
-        fr.ring = (ordered + shifted)[-window:]
-        fr.ring_pos = 0
-    if summary.mem_store_level != never:
-        level = summary.mem_store_level + offset
-        if level > fr.mem_store_level:
-            fr.mem_store_level = level
-    if summary.mem_deepest_access != never:
-        level = summary.mem_deepest_access + offset
-        if level > fr.mem_deepest_access:
-            fr.mem_deepest_access = level
-    if fr.profile is not None and summary.profile:
-        profile = fr.profile
-        profile_get = profile.get
-        for level, count in summary.profile.items():
-            profile[level + offset] = profile_get(level + offset, 0) + count
-    fr.records += summary.count - summary.prefix_count
-    fr.placed += summary.placed
-    fr.syscalls += summary.syscalls
-    fr.firewalls += summary.firewalls
-    fr.branches += summary.branches
-    return fr
-
-
 # -- whole-trace entry points -------------------------------------------------
 
 
@@ -952,50 +721,6 @@ def stream_analyze_trace(
     return finalize(fr)
 
 
-def shard_analyze_trace(
-    trace,
-    config: Optional[AnalysisConfig] = None,
-    shard_size: int = DEFAULT_CHUNK_RECORDS,
-    segments: Optional[SegmentMap] = None,
-) -> AnalysisResult:
-    """Analyze ``trace`` through the full shard machinery in-process:
-    window-aligned segments, fresh-frontier suffix summaries for
-    splice-eligible configurations, prefix replay + :func:`splice`
-    stitching. Segments without a syscall (and every segment of an
-    ineligible configuration) advance the frontier directly, so the
-    result is identical to whole-trace analysis for *every*
-    configuration."""
-    columnar = as_columnar(trace)
-    if config is None:
-        config = AnalysisConfig()
-    if segments is None:
-        segments = columnar.segments
-    shard_size = align_shard_size(config, shard_size)
-    eligible = splice_eligible(config)
-    fr = new_frontier(config, segments)
-    ops = columnar.opclass
-    count = len(ops)
-    start = 0
-    while start < count:
-        end = min(start + shard_size, count)
-        cut = -1
-        if eligible:
-            for index in range(start, end):
-                if ops[index] == _SYSCALL:
-                    cut = index
-                    break
-        if cut >= 0:
-            summary = _summarize_range(
-                columnar, config, segments, cut + 1, end, end - start
-            )
-            advance(fr, columnar, start, cut + 1)
-            splice(fr, summary)
-        else:
-            advance(fr, columnar, start, end)
-        start = end
-    return finalize(fr)
-
-
 def stream_analyze_file(
     path,
     config: Optional[AnalysisConfig] = None,
@@ -1004,10 +729,10 @@ def stream_analyze_file(
 ) -> AnalysisResult:
     """Analyze a PGT2 trace file with bounded memory: chunks decode off an
     ``mmap`` one at a time (see :func:`repro.trace.chunked.iter_chunks`)
-    and fold into a single frontier. ``cap`` stops after that many records
-    (whole-file streams also verify the header digest en route)."""
+    and fold into a single frontier. ``cap`` stops the analysis after that
+    many records; the header digest is verified over the whole file
+    either way."""
     from repro.obs.spans import span as _span
-    from repro.trace.chunked import iter_chunks
     from repro.trace.io import read_header
 
     if config is None:
@@ -1015,15 +740,7 @@ def stream_analyze_file(
     with open(path, "rb") as stream:
         segments, _, _ = read_header(stream)
     fr = new_frontier(config, segments)
-    remaining = cap
     with _span("stream.analyze_file"):
-        for chunk in iter_chunks(path, chunk_records):
-            take = len(chunk.opclass)
-            if remaining is not None:
-                take = min(take, remaining)
-            advance(fr, chunk, 0, take)
-            if remaining is not None:
-                remaining -= take
-                if remaining == 0:
-                    break
+        for chunk in iter_chunks(path, chunk_records, limit=cap):
+            advance(fr, chunk)
     return finalize(fr)

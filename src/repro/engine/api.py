@@ -238,16 +238,9 @@ class ExperimentEngine:
         :attr:`retry_policy`, outcomes are journaled when a journal is
         configured, and a broken pool degrades to serial execution."""
         self._ensure_disk_store()
-        return self.run_grid_with_store(grid, self.store)
-
-    def run_grid_with_store(self, grid: Sequence[AnalysisJob], store) -> List[JobOutcome]:
-        """:meth:`run_grid` against an explicit trace store (the sharded
-        analysis path substitutes a :class:`~repro.engine.shards.ShardTraceStore`
-        serving byte-extent slices of one big trace file). The store must
-        already be disk-backed when ``jobs > 1``."""
         outcomes = execute_jobs_resilient(
             grid,
-            store,
+            self.store,
             njobs=self.jobs,
             result_cache=self.result_cache,
             timeout=self.timeout,
@@ -300,17 +293,3 @@ class ExperimentEngine:
         if not outcome.ok:
             raise JobFailedError([outcome])
         return outcome.result
-
-    def analyze_streamed(
-        self,
-        path,
-        config: Optional[AnalysisConfig] = None,
-        shard_size: Optional[int] = None,
-    ) -> AnalysisResult:
-        """Analyze a PGT2 trace *file* with bounded memory, sharding the
-        work across this engine's worker pool when the configuration
-        permits (see :mod:`repro.engine.shards`); identical results to
-        loading the whole trace and running :func:`repro.core.analyzer.analyze`."""
-        from repro.engine.shards import shard_analyze_file
-
-        return shard_analyze_file(path, config, shard_size=shard_size, engine=self)

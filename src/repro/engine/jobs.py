@@ -45,34 +45,26 @@ def _analyze_oracle(trace, config: AnalysisConfig) -> AnalysisResult:
     return oracle_analyze(trace, config)
 
 
+#: Records per chunk of the ``stream`` method: a few, so even a tiny
+#: verification case is cut (and its frontier resumed) every few records.
+_STREAM_CHUNK_RECORDS = 3
+
+#: Most chunks one ``stream`` job cuts its trace into, so a long trace
+#: (a ``repro serve`` client may ask for ``stream``) costs a bounded number
+#: of frontier resumes instead of one per few records.
+_STREAM_MAX_CHUNKS = 64
+
+
 def _analyze_stream(trace, config: AnalysisConfig) -> AnalysisResult:
-    """Chunked streaming re-analysis: one frontier advanced over ~3 cuts
-    (exercising resume-at-a-cut for every configuration). Late-binds
-    through the module attribute so the harness can mutate it."""
+    """Chunked streaming re-analysis: one frontier advanced over chunks of
+    a few records each (exercising resume-at-a-cut for every
+    configuration), at most :data:`_STREAM_MAX_CHUNKS` of them.
+    Late-binds through the module attribute so the harness can mutate
+    it."""
     from repro.core import stream
 
-    chunk = max(1, (len(trace) + 2) // 3)
+    chunk = max(_STREAM_CHUNK_RECORDS, -(-len(trace) // _STREAM_MAX_CHUNKS))
     return stream.stream_analyze_trace(trace, config, chunk_records=chunk)
-
-
-def _analyze_sharded(trace, config: AnalysisConfig) -> AnalysisResult:
-    """Full shard machinery in-process over ~4 segments: fresh-frontier
-    suffix summaries where the configuration allows splicing, prefix
-    replay + stitch otherwise (see :mod:`repro.core.stream`)."""
-    from repro.core import stream
-
-    shard = max(1, (len(trace) + 3) // 4)
-    return stream.shard_analyze_trace(trace, config, shard_size=shard)
-
-
-def _analyze_segment(trace, config: AnalysisConfig):
-    """Shard pass 1: treat the (segment) trace as standalone and summarize
-    everything past its first conservative syscall from a fresh frontier.
-    Returns a :class:`~repro.core.stream.SegmentSummary`, not an
-    :class:`AnalysisResult` — the stitch pass splices it."""
-    from repro.core import stream
-
-    return stream.summarize_segment(trace, config)
 
 
 #: Analysis methods a job may request. Values take ``(trace, config)`` and
@@ -82,22 +74,18 @@ def _analyze_segment(trace, config: AnalysisConfig):
 #: the differential verification harness (:mod:`repro.verify`) —
 #: ``reference`` (readable live-well pass) and ``oracle`` (explicit DDG +
 #: longest path; sentinel ``firewalls``/``peak_live_well``). ``stream``
-#: and ``sharded`` run the bounded-memory chunk/shard machinery of
-#: :mod:`repro.core.stream` (results identical to ``forward``); ``segment``
-#: is the shard pass-1 worker method and returns a
-#: :class:`~repro.core.stream.SegmentSummary` instead of a result.
+#: runs the bounded-memory chunked frontier of :mod:`repro.core.stream`
+#: (results identical to ``forward``).
 METHODS: Dict[str, Callable[[TraceBuffer, AnalysisConfig], AnalysisResult]] = {
     "forward": analyze,
     "twopass": twopass_analyze,
     "reference": _analyze_reference,
     "oracle": _analyze_oracle,
     "stream": _analyze_stream,
-    "sharded": _analyze_sharded,
-    "segment": _analyze_segment,
 }
 
 #: Methods whose fastest input is a :class:`ColumnarTrace`.
-_COLUMNAR_METHODS = frozenset({"forward", "stream", "sharded", "segment"})
+_COLUMNAR_METHODS = frozenset({"forward", "stream"})
 
 
 @dataclass(frozen=True)
@@ -191,7 +179,7 @@ class AnalysisJob:
     def prefers_columnar(self) -> bool:
         """True when the job's method runs fastest on a
         :class:`~repro.trace.columnar.ColumnarTrace` (the forward analyzer
-        and the stream/shard methods scan columns); tuple-scanning methods
+        and the stream method scan columns); tuple-scanning methods
         need the materialized record list."""
         return self.method in _COLUMNAR_METHODS
 

@@ -204,31 +204,12 @@ def _absorb_telemetry(telemetry: Optional[dict]):
 # -- worker side ---------------------------------------------------------------
 
 
-def _load_trace(trace_ref: Tuple[str, str]):
-    """Resolve a ``(kind, target)`` trace reference: attach a shared-memory
-    columnar block zero-copy, decode one byte-extent slice of a trace file
-    (a shard segment, digest-verified in isolation), or decode a whole
-    ``.pgt`` file."""
-    kind, target = trace_ref
+def _load_trace(source: Tuple[str, str]):
+    """Resolve a ``(kind, target)`` trace source: attach a shared-memory
+    columnar block zero-copy, or decode a whole ``.pgt`` file."""
+    kind, target = source
     if kind == "shm":
         return ColumnarTrace.from_shared_memory(target)
-    if kind == "slice":
-        from repro.trace.chunked import decode_slice
-        from repro.trace.segments import SegmentMap
-
-        spec = json.loads(target)
-        return decode_slice(
-            spec["path"],
-            spec["offset"],
-            spec["length"],
-            spec["count"],
-            SegmentMap(
-                data_base=spec["segments"]["data_base"],
-                stack_floor=spec["segments"]["stack_floor"],
-                stack_top=spec["segments"]["stack_top"],
-            ),
-            digest=spec.get("digest"),
-        )
     return ColumnarTrace.from_file(target)
 
 
@@ -299,7 +280,7 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
             task = task_queue.get()
             if task is None:
                 return
-            index, wire, trace_ref, enqueued = task
+            index, wire, source, enqueued = task
             queue_wait = 0.0
             if metrics and enqueued is not None:
                 queue_wait = max(0.0, time.time() - enqueued)
@@ -314,21 +295,21 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
             try:
                 with span("setup", phases=phases):
                     job = AnalysisJob.from_canonical(wire)
-                trace = traces.get(trace_ref)
+                trace = traces.get(source)
                 if trace is None:
-                    if trace_ref[0] == "shm" and faults.fire("shm", index):
+                    if source[0] == "shm" and faults.fire("shm", index):
                         raise RuntimeError(
-                            f"injected shm attach failure for block {trace_ref[1]!r}"
+                            f"injected shm attach failure for block {source[1]!r}"
                         )
                     with span("trace_load", phases=phases):
-                        trace = _load_trace(trace_ref)
-                    traces[trace_ref] = trace
+                        trace = _load_trace(source)
+                    traces[source] = trace
                     while len(traces) > _WORKER_TRACE_LRU:
                         _, evicted = traces.popitem(last=False)
                         if isinstance(evicted, ColumnarTrace):
                             evicted.close()
                 else:
-                    traces.move_to_end(trace_ref)
+                    traces.move_to_end(source)
                 with span("kernel", phases=phases):
                     result = job.run(trace)
                 with span("serialize", phases=phases):
@@ -553,26 +534,13 @@ def execute_jobs(
     # the .pgt path as the fallback reference. Blocks are owned by the
     # parent and unlinked in the finally below once the grid drains.
     shm_blocks: List[object] = []
-    trace_refs: Dict[tuple, Tuple[str, str]] = {}
-    ref_hook = getattr(store, "trace_ref", None)
+    sources: Dict[tuple, Tuple[str, str]] = {}
     for index, job in enumerate(jobs):
         trace_key = job.trace_key
-        if outcomes[index] is not None or trace_key in trace_refs:
+        if outcomes[index] is not None or trace_key in sources:
             continue
         path, _ = trace_files[trace_key]
-        ref = ("path", path)
-        if ref_hook is not None:
-            # A store that knows a cheaper way for workers to load this
-            # trace (e.g. a shard store handing out byte-extent slices of
-            # one big file) overrides both shm packing and whole-file
-            # decode; any hook failure falls back to the standard refs.
-            try:
-                hook_ref = ref_hook(job.workload, job.cap, optimize=job.optimize)
-            except Exception:  # noqa: BLE001 - the hook is advisory
-                hook_ref = None
-            if hook_ref is not None:
-                trace_refs[trace_key] = (hook_ref[0], hook_ref[1])
-                continue
+        source = ("path", path)
         try:
             with span("shm_pack"):
                 block = store.columnar(
@@ -584,11 +552,11 @@ def execute_jobs(
             shm_blocks.append(block)
             if shm_manifest is not None:
                 shm_manifest.register(block.name)
-            ref = ("shm", block.name)
-        trace_refs[trace_key] = ref
+            source = ("shm", block.name)
+        sources[trace_key] = source
     enqueued_at = time.time() if metrics else None
     tasks: List[Tuple[int, dict, Tuple[str, str], Optional[float]]] = [
-        (index, job.canonical(), trace_refs[job.trace_key], enqueued_at)
+        (index, job.canonical(), sources[job.trace_key], enqueued_at)
         for index, job in pending_tasks
     ]
 

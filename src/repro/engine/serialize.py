@@ -19,11 +19,6 @@ from repro.core.config import AnalysisConfig
 from repro.core.lifetimes import LifetimeStats
 from repro.core.profile import ParallelismProfile
 from repro.core.results import AnalysisResult
-from repro.core.stream import SegmentSummary
-
-#: Type tag marking a serialized :class:`SegmentSummary` (shard pass-1
-#: payload) apart from a plain analysis result.
-SEGMENT_SUMMARY_KIND = "segment_summary"
 
 
 def _histogram_to_pairs(histogram: Dict[int, int]) -> List[List[int]]:
@@ -68,83 +63,8 @@ def lifetimes_from_dict(data: Optional[dict]) -> Optional[LifetimeStats]:
     )
 
 
-def segment_summary_to_dict(summary: SegmentSummary) -> dict:
-    """Encode a shard segment summary as canonical JSON-safe data (wells
-    and profiles become sorted pairs, exactly like result histograms)."""
-    if summary.generic:
-        well = [
-            [int(loc), entry[0], entry[1], entry[2], int(bool(entry[3]))]
-            for loc, entry in sorted(summary.well.items())
-        ]
-    else:
-        well = [[int(loc), int(level)] for loc, level in sorted(summary.well.items())]
-    return {
-        "__kind__": SEGMENT_SUMMARY_KIND,
-        "count": summary.count,
-        "prefix_count": summary.prefix_count,
-        "generic": summary.generic,
-        "floor": summary.floor,
-        "deepest": summary.deepest,
-        "placed": summary.placed,
-        "syscalls": summary.syscalls,
-        "firewalls": summary.firewalls,
-        "branches": summary.branches,
-        "well": well,
-        "ring": list(summary.ring) if summary.ring is not None else None,
-        "mem_store_level": summary.mem_store_level,
-        "mem_deepest_access": summary.mem_deepest_access,
-        "profile": (
-            _histogram_to_pairs(summary.profile)
-            if summary.profile is not None
-            else None
-        ),
-    }
-
-
-def segment_summary_from_dict(data: dict) -> SegmentSummary:
-    """Inverse of :func:`segment_summary_to_dict`."""
-    generic = bool(data["generic"])
-    if generic:
-        well = {
-            int(row[0]): [int(row[1]), int(row[2]), int(row[3]), bool(row[4])]
-            for row in data["well"]
-        }
-    else:
-        well = {int(row[0]): int(row[1]) for row in data["well"]}
-    ring = data["ring"]
-    if ring is not None:
-        ring = [None if level is None else int(level) for level in ring]
-    profile = data["profile"]
-    if profile is not None:
-        profile = _histogram_from_pairs(profile)
-    return SegmentSummary(
-        count=int(data["count"]),
-        prefix_count=int(data["prefix_count"]),
-        generic=generic,
-        floor=int(data["floor"]),
-        deepest=int(data["deepest"]),
-        placed=int(data["placed"]),
-        syscalls=int(data["syscalls"]),
-        firewalls=int(data["firewalls"]),
-        branches=int(data["branches"]),
-        well=well,
-        ring=ring,
-        mem_store_level=int(data["mem_store_level"]),
-        mem_deepest_access=int(data["mem_deepest_access"]),
-        profile=profile,
-    )
-
-
-def result_to_dict(result) -> dict:
-    """Encode a result (and the config that produced it) as JSON-safe data.
-
-    Accepts either payload type the engine ships across its process and
-    cache boundaries: a whole-trace :class:`AnalysisResult` or a shard
-    job's :class:`SegmentSummary` (tagged with ``__kind__`` so the decoder
-    can tell them apart).
-    """
-    if isinstance(result, SegmentSummary):
-        return segment_summary_to_dict(result)
+def result_to_dict(result: AnalysisResult) -> dict:
+    """Encode a result (and the config that produced it) as JSON-safe data."""
     return {
         "records_processed": result.records_processed,
         "placed_operations": result.placed_operations,
@@ -160,10 +80,8 @@ def result_to_dict(result) -> dict:
     }
 
 
-def result_from_dict(data: dict):
-    """Inverse of :func:`result_to_dict` (type-dispatched on ``__kind__``)."""
-    if data.get("__kind__") == SEGMENT_SUMMARY_KIND:
-        return segment_summary_from_dict(data)
+def result_from_dict(data: dict) -> AnalysisResult:
+    """Inverse of :func:`result_to_dict`."""
     return AnalysisResult(
         records_processed=data["records_processed"],
         placed_operations=data["placed_operations"],
@@ -179,7 +97,7 @@ def result_from_dict(data: dict):
     )
 
 
-def result_to_bytes(result) -> bytes:
+def result_to_bytes(result: AnalysisResult) -> bytes:
     """Canonical byte encoding (the form the determinism tests compare)."""
     return json.dumps(
         result_to_dict(result), sort_keys=True, separators=(",", ":")

@@ -19,6 +19,7 @@ from typing import List, Optional
 
 from repro.core.analyzer import analyze
 from repro.core.config import AnalysisConfig
+from repro.core.stream import stream_analyze_file
 from repro.engine import ExperimentEngine, console_listener
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.runner import DEFAULT_CAP, TraceStore
@@ -324,13 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--progress", action="store_true", help="print per-case progress (stderr)"
     )
-    verify.add_argument(
-        "--focus",
-        choices=["all", "shard"],
-        default="all",
-        help="narrow the per-case plan: 'shard' runs only the "
-        "exact-vs-sharded streaming invariant (default: all checks)",
-    )
 
     adhoc = sub.add_parser("analyze", help="analyze one workload or trace file")
     adhoc.add_argument(
@@ -342,30 +336,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=None,
-        help=f"instruction cap (default: {DEFAULT_CAP}; --stream defaults "
-        "to the whole trace instead)",
+        help=f"instruction cap (default: {DEFAULT_CAP}; --stream on a trace "
+        "file defaults to the whole file instead)",
     )
     adhoc.add_argument(
         "--stream",
         action="store_true",
-        help="analyze with bounded memory: the trace streams through "
-        "window-aligned segments instead of loading whole (identical "
-        "results; required for traces larger than memory)",
-    )
-    adhoc.add_argument(
-        "--shard-size",
-        type=int,
-        default=None,
-        metavar="RECORDS",
-        help="records per segment for --stream (rounded up to a window "
-        "multiple; default: 1Mi)",
-    )
-    adhoc.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for --stream: eligible configurations "
-        "analyze segments in parallel and stitch (default: 1, sequential)",
+        help="analyze a trace file with bounded memory: it streams through "
+        "fixed-size record chunks instead of loading whole (identical "
+        "results; required for traces larger than memory). A suite "
+        "workload is simulated in memory either way",
     )
     adhoc.add_argument("--window", type=int, default=None)
     adhoc.add_argument(
@@ -500,7 +480,6 @@ def _command_verify(args) -> int:
             jobs=args.jobs,
             max_failures=args.max_failures,
             progress=progress,
-            focus=args.focus,
         )
     print(summary.describe())
     if args.mutate:
@@ -515,52 +494,6 @@ def _command_verify(args) -> int:
     return 0 if summary.ok else 1
 
 
-def _analyze_streamed(args, config: AnalysisConfig, is_file: bool):
-    """The ``analyze --stream`` path: bounded-memory file streaming, with
-    parallel sharding when ``--jobs`` and the config allow it. Suite
-    workloads are traced to a scratch .pgt2 first so the same file
-    machinery (manifest, segments, digests) covers both inputs."""
-    import tempfile
-
-    from repro.engine.shards import shard_analyze_file
-
-    engine = None
-    if args.jobs > 1:
-        engine = ExperimentEngine(jobs=args.jobs)
-    if is_file:
-        if args.cap is not None:
-            # A cap stops a sequential stream mid-file; the parallel path
-            # analyzes whole segments and cannot honor one.
-            from repro.core.stream import DEFAULT_CHUNK_RECORDS, stream_analyze_file
-
-            return stream_analyze_file(
-                args.workload,
-                config,
-                chunk_records=args.shard_size or DEFAULT_CHUNK_RECORDS,
-                cap=args.cap,
-            )
-        return shard_analyze_file(
-            args.workload,
-            config,
-            shard_size=args.shard_size,
-            engine=engine,
-        )
-    from repro.trace.io import write_trace_file
-
-    workload = load_workload(args.workload)
-    cap = args.cap if args.cap is not None else DEFAULT_CAP
-    trace = workload.trace(max_instructions=cap)
-    with tempfile.TemporaryDirectory(prefix="paragraph-stream-") as scratch:
-        path = os.path.join(scratch, f"{args.workload}.pgt2")
-        write_trace_file(path, trace)
-        return shard_analyze_file(
-            path,
-            config,
-            shard_size=args.shard_size,
-            engine=engine,
-        )
-
-
 def _command_analyze(args) -> int:
     config = AnalysisConfig(
         syscall_policy=args.syscalls,
@@ -572,18 +505,16 @@ def _command_analyze(args) -> int:
         collect_lifetimes=args.lifetimes,
     )
     is_file = args.workload.endswith((".pgt", ".pgt2"))
-    if args.stream:
-        result = _analyze_streamed(args, config, is_file)
-    elif is_file:
-        from repro.trace.io import read_trace_file
-
-        cap = args.cap if args.cap is not None else DEFAULT_CAP
-        trace = read_trace_file(args.workload).head(cap)
-        result = analyze(trace, config)
+    if args.stream and is_file:
+        result = stream_analyze_file(args.workload, config, cap=args.cap)
     else:
         cap = args.cap if args.cap is not None else DEFAULT_CAP
-        workload = load_workload(args.workload)
-        trace = workload.trace(max_instructions=cap)
+        if is_file:
+            from repro.trace.io import read_trace_file
+
+            trace = read_trace_file(args.workload).head(cap)
+        else:
+            trace = load_workload(args.workload).trace(max_instructions=cap)
         result = analyze(trace, config)
     print(result.summary())
     print(f"  placed operations : {result.placed_operations:,}")

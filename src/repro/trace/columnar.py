@@ -195,8 +195,8 @@ class ColumnarTrace:
         :meth:`TraceBuffer.digest` and PGT2 header digest.
 
         Every decoded or packed trace carries the digest of the bytes it
-        came from; only a digest-less slice (a streamed chunk, a syscall
-        prefix) re-derives it from reconstructed records, counted as
+        came from; only a digest-less slice (a streamed chunk) re-derives
+        it from reconstructed records, counted as
         ``trace.digest_from_records``."""
         if self._digest is None:
             from repro.obs import metrics as obs

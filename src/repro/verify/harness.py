@@ -16,7 +16,10 @@ the same result on the same (trace, config):
 
 ``reference``/``twopass`` and ``oracle`` share no placement code with
 ``forward`` or with each other, so a bug planted in any one loop surfaces
-as a disagreement.
+as a disagreement. ``stream`` runs ``forward``'s own loops again, but
+resumes one frontier every few records (tag ``stream:chunks``); it must
+match on every field, ``peak_live_well`` included, so a frontier that
+loses state at a chunk cut surfaces the same way.
 
 **Metamorphic** — the paper's own invariants, checked as relations between
 analyses of the *same trace* under transformed configs:
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import CONSERVATIVE, OPTIMISTIC, AnalysisConfig
 from repro.core.latency import LatencyTable
@@ -71,12 +74,11 @@ BASELINE_METHOD = "forward"
 #: Implementations diffed against the baseline on the case config.
 DIFF_METHODS = ("twopass", "reference")
 
-#: The exact-vs-sharded metamorphic pair: ``stream`` re-analyzes the case
-#: trace through chunked frontier streaming, ``sharded`` through the full
-#: segment-summary + splice machinery (see :mod:`repro.core.stream`).
-#: Both must match the baseline on *every* field — no masking — for every
-#: configuration, eligible for splicing or not.
-SHARD_CHECKS = (("shard:stream", "stream"), ("shard:stitch", "sharded"))
+#: The streaming exactness check: ``stream`` re-analyzes the case trace by
+#: advancing one frontier over chunks of a few records each (see
+#: :mod:`repro.core.stream`), and must match the baseline on *every*
+#: field — no masking — for every configuration.
+STREAM_CHECK = ("stream:chunks", "stream")
 
 #: Window sizes of the window-monotonicity chain (None = unlimited).
 WINDOW_CHAIN: Tuple[Optional[int], ...] = (1, 4, 16, None)
@@ -110,22 +112,10 @@ def _pure_dataflow(scale: int) -> AnalysisConfig:
     )
 
 
-def case_plan(
-    config: AnalysisConfig, focus: str = "all"
-) -> List[Tuple[str, str, AnalysisConfig]]:
-    """The analyses one case needs, as ``(tag, method, config)`` triples.
-
-    ``focus="shard"`` restricts the plan to the baseline plus the
-    exact-vs-sharded pair (the CI shard-equivalence gate runs many more
-    cases than the full sweep could afford per case)."""
+def case_plan(config: AnalysisConfig) -> List[Tuple[str, str, AnalysisConfig]]:
+    """The analyses one case needs, as ``(tag, method, config)`` triples."""
     plan = [(f"diff:{BASELINE_METHOD}", BASELINE_METHOD, config)]
-    if focus == "shard":
-        plan.extend((tag, method, config) for tag, method in SHARD_CHECKS)
-        return plan
-    if focus != "all":
-        raise ValueError(f"unknown verification focus {focus!r}")
-    for tag, method in SHARD_CHECKS:
-        plan.append((tag, method, config))
+    plan.append((*STREAM_CHECK, config))
     for method in DIFF_METHODS:
         plan.append((f"diff:{method}", method, config))
     if _oracle_supported(config):
@@ -246,14 +236,12 @@ def evaluate_case(
                 failures.extend(
                     diff_results(BASELINE_METHOD, baseline, method, result)
                 )
-        for tag, method in SHARD_CHECKS:
-            result = results.get(tag)
-            if result is not None:
-                # Exact-vs-sharded invariant: unmasked field-for-field
-                # equality (peak_live_well included) against the baseline.
-                failures.extend(
-                    diff_results(BASELINE_METHOD, baseline, method, result)
-                )
+        tag, method = STREAM_CHECK
+        result = results.get(tag)
+        if result is not None:
+            # Streaming exactness: unmasked field-for-field equality
+            # (peak_live_well included) against the baseline.
+            failures.extend(diff_results(BASELINE_METHOD, baseline, method, result))
         failures.extend(_census_failures(trace, config, baseline))
 
     rename_tags = [f"rename:{step}" for step in range(len(_RENAME_STEPS))]
@@ -302,17 +290,15 @@ def evaluate_case(
 
 
 def analyze_case(
-    trace: TraceBuffer,
-    config: AnalysisConfig,
-    plan: Optional[Sequence[Tuple[str, str, AnalysisConfig]]] = None,
+    trace: TraceBuffer, config: AnalysisConfig
 ) -> Tuple[Dict[str, AnalysisResult], List[str]]:
-    """Run a case plan in-process; returns ``(results, errors)`` where
+    """Run a case's plan in-process; returns ``(results, errors)`` where
     errors are analyses that raised instead of returning."""
     from repro.engine.jobs import METHODS
 
     results: Dict[str, AnalysisResult] = {}
     errors: List[str] = []
-    for tag, method, cfg in plan if plan is not None else case_plan(config):
+    for tag, method, cfg in case_plan(config):
         try:
             results[tag] = METHODS[method](trace, cfg)
         except Exception as error:  # noqa: BLE001 - a crash is a finding
@@ -320,11 +306,9 @@ def analyze_case(
     return results, errors
 
 
-def verify_case(
-    trace: TraceBuffer, config: AnalysisConfig, focus: str = "all"
-) -> List[str]:
+def verify_case(trace: TraceBuffer, config: AnalysisConfig) -> List[str]:
     """Fully verify one (trace, config) in-process; empty list = pass."""
-    results, errors = analyze_case(trace, config, plan=case_plan(config, focus))
+    results, errors = analyze_case(trace, config)
     return errors + evaluate_case(trace, config, results)
 
 
@@ -439,7 +423,6 @@ def run_verification(
     engine=None,
     max_failures: int = 20,
     progress: Optional[Callable[[int, int], None]] = None,
-    focus: str = "all",
 ) -> VerifySummary:
     """Fuzz ``cases`` generated cases under ``seed``.
 
@@ -447,8 +430,7 @@ def run_verification(
     in-process). Failing cases are re-verified in-process, shrunk by
     greedy deletion when ``shrink`` is set, and persisted under
     ``artifact_dir`` when given. Evaluation stops after ``max_failures``
-    failing cases. ``focus`` narrows the per-case plan (``"shard"`` runs
-    just the exact-vs-sharded invariant, see :func:`case_plan`).
+    failing cases.
     """
     if engine is None:
         from repro.engine.api import ExperimentEngine
@@ -465,7 +447,7 @@ def run_verification(
     index_map: List[Tuple[int, str]] = []
     for case in all_cases:
         cap = store.add(case.name, case.trace)
-        for tag, method, cfg in case_plan(case.config, focus):
+        for tag, method, cfg in case_plan(case.config):
             grid.append(AnalysisJob(workload=case.name, cap=cap, config=cfg, method=method))
             index_map.append((case.index, tag))
 
@@ -495,9 +477,9 @@ def run_verification(
         if shrink:
             shrunk = shrink_trace(
                 trace,
-                lambda candidate: bool(verify_case(candidate, case.config, focus)),
+                lambda candidate: bool(verify_case(candidate, case.config)),
             )
-            refreshed = verify_case(shrunk, case.config, focus)
+            refreshed = verify_case(shrunk, case.config)
             if refreshed:  # guard: keep the original if shrinking lost the bug
                 trace, case_failures = shrunk, refreshed
         artifacts: Tuple[str, ...] = ()
@@ -530,7 +512,7 @@ __all__ = [
     "BASELINE_METHOD",
     "CaseFailure",
     "DIFF_METHODS",
-    "SHARD_CHECKS",
+    "STREAM_CHECK",
     "GeneratedTraceStore",
     "VerifyCase",
     "VerifySummary",

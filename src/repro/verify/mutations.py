@@ -14,22 +14,23 @@ Mutations:
   (``stream._advance_{dataflow,windowed,generic}``) places loads one
   level too deep (the canonical off-by-one: the loop runs with the LOAD
   latency raised by one, which perturbs exactly the load placement term
-  of the rule). ``forward``, ``stream`` and ``sharded`` all run these
+  of the rule). ``forward`` and ``stream`` both run these
   loops, so the bug is caught by the ``reference``/``twopass``/``oracle``
   differentials whenever a load is at or feeds the critical path.
 - ``legacy-war-loss`` — the generic loop (``stream._advance_generic``,
   the only one with WAR terms) forgets write-after-read constraints: it
   runs as if every storage class were renamed. Caught on any case with
   renaming off and a binding WAR hazard.
-- ``stream-splice-skew`` — the shard stitch grafts segment summaries one
-  level too shallow (``offset = floor - 1`` instead of the true floor at
-  the cut). Caught by the exact-vs-sharded invariant on any case whose
-  sharded run actually splices a summary with post-cut placements.
+- ``stream-cut-amnesia`` — a frontier resumed mid-trace forgets its live
+  well (``stream.advance`` clears it whenever it starts past record 0).
+  ``forward`` imports ``advance`` by name and runs each trace in one call,
+  so only chunked streaming is hit. Caught by the ``stream:chunks``
+  exactness check on any case where a value crosses a chunk cut.
 
 Every patch goes through a module attribute that its call site
 late-binds (``stream.advance`` resolves ``_advance_*`` as globals per
-call, and the shard stitch looks up ``stream.splice``), so no reload
-tricks are needed.
+call, and ``stream.stream_analyze_trace`` looks up ``stream.advance``),
+so no reload tricks are needed.
 """
 
 from __future__ import annotations
@@ -99,25 +100,26 @@ def mutate_legacy_war_loss():
 
 
 @contextmanager
-def mutate_stream_splice_skew():
-    """The shard stitch splices summaries one level too shallow."""
+def mutate_stream_cut_amnesia():
+    """A frontier resumed past record 0 starts with an empty live well."""
     from repro.core import stream
 
     def wrap(original):
-        def mutant(fr, summary):
-            fr.floor -= 1  # corrupt the cut offset the splice algebra relies on
-            return original(fr, summary)
+        def mutant(fr, trace, start=0, end=None):
+            if start > 0:
+                fr.well.clear()
+            return original(fr, trace, start, end)
 
         return mutant
 
-    with _patched(stream, ("splice",), wrap):
+    with _patched(stream, ("advance",), wrap):
         yield
 
 
 MUTATIONS = {
     "kernel-load-skew": mutate_kernel_load_skew,
     "legacy-war-loss": mutate_legacy_war_loss,
-    "stream-splice-skew": mutate_stream_splice_skew,
+    "stream-cut-amnesia": mutate_stream_cut_amnesia,
 }
 
 

@@ -1,9 +1,8 @@
-"""Frontier streaming and shard splicing reproduce whole-trace analysis.
+"""Frontier streaming reproduces whole-trace analysis.
 
 The load-bearing property of :mod:`repro.core.stream` is *exactness*:
-chunked streaming and sharded stitch must equal the monolithic analyzer
-field-for-field on every configuration, including the splice-ineligible
-ones (which must fall back, not approximate). Equality is checked on
+chunked streaming, from memory or from a file, must equal the monolithic
+analyzer field-for-field on every configuration. Equality is checked on
 :func:`~repro.engine.serialize.result_to_dict` encodings — the engine's
 canonical byte-identity form — never on object ``==``.
 """
@@ -17,17 +16,14 @@ from repro.core.config import OPTIMISTIC, AnalysisConfig
 from repro.core.resources import ResourceModel
 from repro.core.stream import (
     advance,
-    align_shard_size,
     finalize,
     new_frontier,
-    shard_analyze_trace,
-    splice,
-    splice_eligible,
+    stream_analyze_file,
     stream_analyze_trace,
-    summarize_segment,
 )
 from repro.engine.serialize import result_to_dict
 from repro.trace.columnar import ColumnarTrace
+from repro.trace.io import write_trace_file
 from repro.trace.synthetic import TraceBuilder, random_trace
 from repro.verify.generate import generate_trace, sample_config
 
@@ -58,13 +54,6 @@ class TestStreamEquivalence:
         got = result_to_dict(stream_analyze_trace(trace, config, chunk_records=chunk))
         assert got == expected(trace, config)
 
-    @pytest.mark.parametrize("config", CONFIGS)
-    @pytest.mark.parametrize("shard", [5, 16, 64])
-    def test_sharded_equals_whole(self, config, shard):
-        trace = random_trace(12, 150, syscall_fraction=0.04)
-        got = result_to_dict(shard_analyze_trace(trace, config, shard_size=shard))
-        assert got == expected(trace, config)
-
     def test_adversarial_cases_at_every_cut(self):
         rng = random.Random(99)
         for _ in range(50):
@@ -74,16 +63,11 @@ class TestStreamEquivalence:
             for chunk in (1, 2, len(trace)):
                 got = stream_analyze_trace(trace, config, chunk_records=chunk)
                 assert result_to_dict(got) == want, config.describe()
-            got = shard_analyze_trace(trace, config, shard_size=3)
-            assert result_to_dict(got) == want, config.describe()
 
     def test_empty_trace(self):
         empty = TraceBuilder().build()
         config = AnalysisConfig()
         assert result_to_dict(stream_analyze_trace(empty, config)) == expected(
-            empty, config
-        )
-        assert result_to_dict(shard_analyze_trace(empty, config)) == expected(
             empty, config
         )
 
@@ -110,67 +94,23 @@ class TestStreamEquivalence:
             stream_analyze_trace(random_trace(15, 10), chunk_records=0)
 
 
-class TestSpliceEligibility:
-    def test_eligible_configs(self):
-        assert splice_eligible(AnalysisConfig())
-        assert splice_eligible(AnalysisConfig.no_renaming())
-        assert splice_eligible(AnalysisConfig(window_size=4))
-        assert splice_eligible(AnalysisConfig(memory_disambiguation="conservative"))
+class TestStreamFile:
+    @pytest.fixture
+    def trace_file(self, tmp_path):
+        trace = random_trace(17, 150, syscall_fraction=0.04)
+        path = str(tmp_path / "t.pgt2")
+        write_trace_file(path, trace)
+        return trace, path
 
-    def test_ineligible_configs(self):
-        assert not splice_eligible(AnalysisConfig(syscall_policy=OPTIMISTIC))
-        assert not splice_eligible(AnalysisConfig(branch_predictor="bimodal"))
-        assert not splice_eligible(AnalysisConfig(collect_lifetimes=True))
-        assert not splice_eligible(
-            AnalysisConfig(resources=ResourceModel(universal=2))
-        )
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_file_equals_whole(self, trace_file, config):
+        trace, path = trace_file
+        got = stream_analyze_file(path, config, chunk_records=16)
+        assert result_to_dict(got) == expected(trace, config)
 
-    def test_align_rounds_up_to_window(self):
-        assert align_shard_size(AnalysisConfig(window_size=16), 100) == 112
-        assert align_shard_size(AnalysisConfig(), 100) == 100
-        with pytest.raises(ValueError):
-            align_shard_size(AnalysisConfig(), 0)
-
-
-class TestSummaryAndSplice:
-    def _segmented_trace(self):
-        builder = TraceBuilder()
-        builder.ialu(1, 2).ialu(2, 1).syscall().load(3, 0x1000)
-        builder.ialu(4, 3).ialu(5, 4).ialu(6, 5)
-        return ColumnarTrace.from_buffer(builder.build())
-
-    def test_summary_levels_are_local(self):
-        trace = self._segmented_trace()
-        summary = summarize_segment(trace, AnalysisConfig())
-        assert summary.count == 7
-        assert summary.prefix_count == 3  # through the syscall
-        # The suffix chain load->ialu->ialu->ialu from a fresh frontier:
-        # levels 0(+load)..: deepest is local, independent of the prefix.
-        assert summary.deepest >= 0
-        assert summary.placed == 4
-
-    def test_splice_equals_sequential_advance(self):
-        trace = self._segmented_trace()
-        config = AnalysisConfig()
-        summary = summarize_segment(trace, config)
-        stitched = new_frontier(config, trace.segments)
-        advance(stitched, trace, 0, summary.prefix_count)
-        splice(stitched, summary)
-        sequential = new_frontier(config, trace.segments)
-        advance(sequential, trace)
-        assert result_to_dict(finalize(stitched)) == result_to_dict(
-            finalize(sequential)
-        )
-
-    def test_rejects_ineligible_config(self):
-        with pytest.raises(ValueError, match="not splice-eligible"):
-            summarize_segment(
-                self._segmented_trace(), AnalysisConfig(syscall_policy=OPTIMISTIC)
-            )
-
-    def test_rejects_segment_without_syscall(self):
-        trace = ColumnarTrace.from_buffer(
-            random_trace(16, 20, syscall_fraction=0.0)
-        )
-        with pytest.raises(ValueError, match="no syscall"):
-            summarize_segment(trace, AnalysisConfig())
+    @pytest.mark.parametrize("cap", [1, 40, 149, 150, 1000])
+    def test_cap_equals_head(self, trace_file, cap):
+        trace, path = trace_file
+        config = AnalysisConfig(window_size=4)
+        got = stream_analyze_file(path, config, chunk_records=16, cap=cap)
+        assert result_to_dict(got) == expected(trace.head(cap), config)

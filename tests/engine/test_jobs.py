@@ -126,8 +126,6 @@ class TestMethods:
             "reference",
             "oracle",
             "stream",
-            "sharded",
-            "segment",
         }
 
     @pytest.mark.parametrize(
@@ -138,8 +136,6 @@ class TestMethods:
             ("reference", False),
             ("oracle", False),
             ("stream", True),
-            ("sharded", True),
-            ("segment", True),
         ],
     )
     def test_prefers_columnar(self, method, columnar):
@@ -147,7 +143,7 @@ class TestMethods:
 
     @pytest.mark.parametrize(
         "method",
-        ["forward", "twopass", "reference", "stream", "sharded"],
+        ["forward", "twopass", "reference", "stream"],
     )
     def test_all_methods_agree_on_either_representation(self, method):
         """Every method accepts both trace representations via job.run and
@@ -164,6 +160,29 @@ class TestMethods:
             assert result.critical_path_length == expected.critical_path_length
             assert result.placed_operations == expected.placed_operations
             assert result.profile.counts == expected.profile.counts
+
+    @pytest.mark.parametrize("length,advances", [(40, 14), (1000, 63)])
+    def test_stream_method_bounds_its_cuts(self, monkeypatch, length, advances):
+        """Short traces are cut every 3 records; a long one into at most
+        64 chunks, not one per 3 records."""
+        from repro.core import stream
+        from repro.core.analyzer import analyze
+        from repro.trace.synthetic import random_trace
+
+        calls = []
+        real_advance = stream.advance
+
+        def counting_advance(fr, trace, start=0, end=None):
+            calls.append((start, end))
+            return real_advance(fr, trace, start, end)
+
+        monkeypatch.setattr(stream, "advance", counting_advance)
+        trace = random_trace(seed=5, length=length)
+        result = AnalysisJob("w", length, method="stream").run(trace)
+        assert len(calls) == advances
+        expected = analyze(trace, AnalysisConfig())
+        assert result.critical_path_length == expected.critical_path_length
+        assert result.peak_live_well == expected.peak_live_well
 
     def test_oracle_method_runs_via_job(self):
         from repro.core.analyzer import analyze

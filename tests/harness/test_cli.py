@@ -81,6 +81,24 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "records=300" in out
 
+    def test_stream_trace_file_matches_in_memory(self, tmp_path, capsys):
+        from repro.trace.io import write_trace_file
+        from repro.trace.synthetic import random_trace
+
+        path = str(tmp_path / "t.pgt2")
+        write_trace_file(path, random_trace(4, 500, syscall_fraction=0.05))
+        assert main(["analyze", path, "--cap", "300"]) == 0
+        in_memory = capsys.readouterr().out
+        assert main(["analyze", path, "--cap", "300", "--stream"]) == 0
+        assert capsys.readouterr().out == in_memory
+        assert "records=300" in in_memory
+
+    def test_stream_on_a_workload_is_the_in_memory_analysis(self, capsys):
+        assert main(["analyze", "xlispx", "--cap", "2000"]) == 0
+        in_memory = capsys.readouterr().out
+        assert main(["analyze", "xlispx", "--cap", "2000", "--stream"]) == 0
+        assert capsys.readouterr().out == in_memory
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):

@@ -4,18 +4,18 @@ or raises :class:`TraceFormatError` — nothing else.
 ``POST /v1/traces`` hands untrusted bytes to these decoders, so every one
 of them is fed byte-level mutants (flip, truncate, insert, delete) of a
 valid file: the buffered tuple reader, the columnar reader with and
-without NumPy, the mmap chunked reader, and the shard-slice reader (given
-the slice geometry and digest of the original file, as a stitch worker
-would be after the file changed under it).
+without NumPy, and the mmap chunked reader, whole and limited to the
+first half of the records (a capped stream decodes only those, but must
+still reject damage anywhere in the file).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.trace import io as trace_io
-from repro.trace.chunked import decode_slice, iter_chunks
+from repro.trace.chunked import iter_chunks
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.io import TraceFormatError, read_header, read_trace_file, write_trace_file
+from repro.trace.io import TraceFormatError, read_trace_file, write_trace_file
 from repro.trace.synthetic import random_trace
 
 #: Records per chunk for the mmap reader: small, so mutants land in
@@ -31,12 +31,8 @@ def original(tmp_path_factory):
     directory = tmp_path_factory.mktemp("decode-robustness")
     path = directory / "original.pgt"
     write_trace_file(path, trace)
-    with open(path, "rb") as stream:
-        segments, count, digest = read_header(stream)
-        offset = stream.tell()
     data = path.read_bytes()
-    geometry = (offset, len(data) - offset, count, segments, digest)
-    return data, list(trace.records), trace.segments, geometry, directory / "mutant.pgt"
+    return data, list(trace.records), trace.segments, directory / "mutant.pgt"
 
 
 def mutate(data: bytes, kind: str, position: int, value: int, span: int) -> bytes:
@@ -50,9 +46,10 @@ def mutate(data: bytes, kind: str, position: int, value: int, span: int) -> byte
     return data[:position] + data[position + span :]
 
 
-def _decoders(path, geometry):
-    """Each decoder as a callable returning ``(records, segment maps)``."""
-    offset, length, count, segments, digest = geometry
+def _decoders(path, count):
+    """Each decoder as ``(callable, records expected)``; the callable
+    returns ``(records, segment maps)``."""
+    half = count // 2
 
     def buffered():
         trace = read_trace_file(path)
@@ -62,21 +59,17 @@ def _decoders(path, geometry):
         trace = ColumnarTrace.from_file(path)
         return list(trace), [trace.segments]
 
-    def chunked():
-        chunks = list(iter_chunks(path, CHUNK_RECORDS))
+    def chunked(limit=None):
+        chunks = list(iter_chunks(path, CHUNK_RECORDS, limit=limit))
         return [record for chunk in chunks for record in chunk], [
             chunk.segments for chunk in chunks
         ]
 
-    def sliced():
-        trace = decode_slice(path, offset, length, count, segments, digest=digest)
-        return list(trace), [trace.segments]
-
     return {
-        "read_trace_file": buffered,
-        "ColumnarTrace.from_file": columnar,
-        "iter_chunks": chunked,
-        "decode_slice": sliced,
+        "read_trace_file": (buffered, count),
+        "ColumnarTrace.from_file": (columnar, count),
+        "iter_chunks": (chunked, count),
+        "iter_chunks(limit)": (lambda: chunked(half), half),
     }
 
 
@@ -91,17 +84,17 @@ def _decoders(path, geometry):
 def test_mutant_decodes_to_original_or_raises(
     original, kind, position, value, span, numpy_masked
 ):
-    data, records, segments, geometry, path = original
+    data, records, segments, path = original
     mutant = mutate(data, kind, position, value, span)
     path.write_bytes(mutant)
     with pytest.MonkeyPatch.context() as patch:
         if numpy_masked:
             patch.setattr(trace_io, "_np", None)
-        for name, decode in _decoders(path, geometry).items():
+        for name, (decode, expected) in _decoders(path, len(records)).items():
             try:
                 decoded, segment_maps = decode()
             except TraceFormatError:
                 continue
-            assert decoded == records and all(
+            assert decoded == records[:expected] and all(
                 seen == segments for seen in segment_maps
             ), f"{name} accepted a {kind} mutant at {position} as a different trace"

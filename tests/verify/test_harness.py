@@ -17,6 +17,7 @@ from repro.verify.generate import generate_case, generate_trace
 from repro.verify.harness import (
     BASELINE_METHOD,
     DIFF_METHODS,
+    STREAM_CHECK,
     GeneratedTraceStore,
     case_plan,
     evaluate_case,
@@ -34,6 +35,14 @@ class TestCasePlan:
         assert f"diff:{BASELINE_METHOD}" in tags
         for method in DIFF_METHODS + ("oracle",):
             assert f"diff:{method}" in tags
+
+    @pytest.mark.parametrize(
+        "config",
+        [AnalysisConfig(), AnalysisConfig(resources=ResourceModel(universal=2))],
+    )
+    def test_stream_check_always_present(self, config):
+        plan = {tag: (method, cfg) for tag, method, cfg in case_plan(config)}
+        assert plan[STREAM_CHECK[0]] == (STREAM_CHECK[1], config)
 
     def test_oracle_skipped_under_resources(self):
         config = AnalysisConfig(resources=ResourceModel(universal=2))
@@ -57,12 +66,6 @@ class TestCasePlan:
             if tag.startswith("rename:"):
                 assert cfg.window_size == 8
                 assert cfg.branch_predictor == "gshare"
-
-
-class TestFocusPlan:
-    def test_unknown_focus_rejected(self):
-        with pytest.raises(ValueError, match="unknown verification focus"):
-            case_plan(AnalysisConfig(), focus="nope")
 
 
 class TestVerifyCase:
@@ -172,7 +175,7 @@ class TestKnownRegressions:
 
 class TestMutations:
     @pytest.mark.parametrize(
-        "mutation", ["kernel-load-skew", "legacy-war-loss"]
+        "mutation", ["kernel-load-skew", "legacy-war-loss", "stream-cut-amnesia"]
     )
     def test_mutant_caught_shrunk_and_replayable(self, mutation, tmp_path):
         artifact_dir = str(tmp_path / "artifacts")
