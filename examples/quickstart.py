@@ -45,8 +45,7 @@ def main():
     dataflow = analyze(trace, AnalysisConfig(latency=unit))
     print("\nwith renaming (Figure 1 semantics):")
     print(f"  critical path      = {dataflow.critical_path_length} levels")
-    print(f"  parallelism profile= "
-          f"{[dataflow.profile.counts.get(i, 0) for i in range(dataflow.critical_path_length)]}")
+    print(f"  parallelism profile= {dataflow.profile.counts}")
     print(f"  available ILP      = {dataflow.available_parallelism:.2f}")
 
     # Paper Figure 2: keep the storage (WAR) dependencies from t0/t1 reuse.
@@ -61,8 +60,7 @@ def main():
     )
     print("\nwithout renaming (Figure 2 semantics):")
     print(f"  critical path      = {storage.critical_path_length} levels")
-    print(f"  parallelism profile= "
-          f"{[storage.profile.counts.get(i, 0) for i in range(storage.critical_path_length)]}")
+    print(f"  parallelism profile= {storage.profile.counts}")
 
     # The explicit DDG for inspection: nodes, edges, the critical path.
     ddg = build_ddg(trace, AnalysisConfig(latency=unit))

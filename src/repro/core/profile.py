@@ -1,16 +1,16 @@
 """Parallelism profile: operations per topologically sorted DDG level.
 
-The profile is kept exact (a dict from level to operation count); rendering
-to a fixed number of points bins level ranges and reports the average
-operations per level within each range, exactly as the paper describes for
-large ``Ldest`` ranges.
+The profile is kept exact as one dense list of operation counts, indexed by
+level; rendering to a fixed number of points bins level ranges and reports
+the average operations per level within each range, exactly as the paper
+describes for large ``Ldest`` ranges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Optional, Tuple
 
 
 @dataclass
@@ -28,37 +28,43 @@ class ProfileBin:
 
 
 class ParallelismProfile:
-    """Exact operations-per-level histogram with binned rendering."""
+    """Exact operations-per-level histogram with binned rendering.
 
-    def __init__(self, counts: Dict[int, int] = None):
-        self.counts: Dict[int, int] = counts if counts is not None else {}
+    ``counts[level]`` is the number of operations completing at ``level``;
+    levels no operation completes at hold 0, so ``len(counts)`` is the
+    depth.
+    """
+
+    def __init__(self, counts: Optional[List[int]] = None):
+        self.counts: List[int] = counts if counts is not None else []
 
     def add(self, level: int, count: int = 1) -> None:
         """Record ``count`` operations completing at ``level``."""
-        self.counts[level] = self.counts.get(level, 0) + count
+        if level < 0:
+            raise ValueError(f"negative profile level {level}")
+        counts = self.counts
+        if level >= len(counts):
+            counts.extend([0] * (level + 1 - len(counts)))
+        counts[level] += count
 
     # -- scalar summaries -------------------------------------------------
 
     @property
     def total_operations(self) -> int:
         """Total placed operations (profile mass)."""
-        return sum(self.counts.values())
+        return sum(self.counts)
 
     @property
     def depth(self) -> int:
         """Critical path length: number of levels from 0 through the deepest
         level used (inclusive). Zero for an empty profile."""
-        if not self.counts:
-            return 0
-        return max(self.counts) + 1
+        return len(self.counts)
 
     @property
     def max_width(self) -> int:
         """Most operations in any single level (the paper's "maximum number
         of resources required")."""
-        if not self.counts:
-            return 0
-        return max(self.counts.values())
+        return max(self.counts, default=0)
 
     @property
     def average_parallelism(self) -> float:
@@ -76,7 +82,7 @@ class ParallelismProfile:
         mean = self.total_operations / depth
         if mean == 0:
             return 0.0
-        sum_sq = sum(count * count for count in self.counts.values())
+        sum_sq = sum(count * count for count in self.counts)
         variance = sum_sq / depth - mean * mean
         return math.sqrt(max(variance, 0.0)) / mean
 
@@ -88,15 +94,11 @@ class ParallelismProfile:
         if depth == 0:
             return []
         width = max(1, math.ceil(depth / max_points))
-        bins: Dict[int, int] = {}
-        for level, count in self.counts.items():
-            bins[level // width] = bins.get(level // width, 0) + count
-        out = []
-        for index in range(math.ceil(depth / width)):
-            start = index * width
-            end = min(start + width, depth)
-            out.append(ProfileBin(start, end, bins.get(index, 0)))
-        return out
+        counts = self.counts
+        return [
+            ProfileBin(start, min(start + width, depth), sum(counts[start : start + width]))
+            for start in range(0, depth, width)
+        ]
 
     def series(self, max_points: int = 100) -> Tuple[List[int], List[float]]:
         """(level, avg-operations) series for plotting."""
@@ -122,8 +124,3 @@ class ParallelismProfile:
         )
         rows.append(f"{'':13}level in DDG (ops/level, peak={peak:.1f})")
         return "\n".join(rows)
-
-    def merged_into(self, other: "ParallelismProfile") -> None:
-        """Accumulate this profile's counts into ``other`` (harness use)."""
-        for level, count in self.counts.items():
-            other.add(level, count)

@@ -185,7 +185,10 @@ def finalize(frontier: Frontier) -> AnalysisResult:
         )
     profile = None
     if config.collect_profile:
-        profile = ParallelismProfile(dict(frontier.profile))
+        counts = [0] * (max(frontier.profile) + 1 if frontier.profile else 0)
+        for level, count in frontier.profile.items():
+            counts[level] = count
+        profile = ParallelismProfile(counts)
     return AnalysisResult(
         records_processed=frontier.records,
         placed_operations=frontier.placed,

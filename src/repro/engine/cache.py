@@ -38,7 +38,8 @@ from repro.obs import metrics as obs
 logger = logging.getLogger(__name__)
 
 #: Bump when the serialized result layout changes; old entries become misses.
-SCHEMA_VERSION = 1
+#: 2: the parallelism profile is a dense per-level count list.
+SCHEMA_VERSION = 2
 
 
 def cache_key(trace_digest: str, job: AnalysisJob) -> str:
@@ -156,6 +157,7 @@ class ResultCache:
             "job": job.canonical(),
             "result": result_to_dict(result),
         }
+        text = json.dumps(entry, sort_keys=True, separators=(",", ":"))
         path = self._path(key)
         obs.inc("result_cache.store")
         handle = tempfile.NamedTemporaryFile(
@@ -163,7 +165,7 @@ class ResultCache:
         )
         try:
             with handle:
-                json.dump(entry, handle, sort_keys=True, separators=(",", ":"))
+                handle.write(text)
             os.replace(handle.name, path)
         except BaseException:
             try:

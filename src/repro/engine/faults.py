@@ -173,9 +173,14 @@ def hang_now() -> None:
     time.sleep(HANG_SECONDS)
 
 
-def corrupt_payload(result_dict: dict) -> dict:
-    """Return a subtly-mangled copy of a result payload (the kind of damage
-    a bad DIMM or truncated pipe read produces: plausible but wrong)."""
-    mangled = dict(result_dict)
-    mangled["critical_path_length"] = int(mangled.get("critical_path_length", 0)) + 1
-    return mangled
+def corrupt_payload(blob: bytes) -> bytes:
+    """Return a subtly-mangled copy of an encoded result payload (the kind
+    of damage a bad DIMM or truncated pipe read produces: plausible but
+    wrong): the last digit of ``critical_path_length`` is bumped, so the
+    bytes still decode to a well-formed result."""
+    field = b'"critical_path_length":'
+    end = blob.index(field) + len(field)
+    while blob[end : end + 1].isdigit():
+        end += 1
+    digit = (blob[end - 1] - ord("0") + 1) % 10
+    return blob[: end - 1] + str(digit).encode("ascii") + blob[end:]

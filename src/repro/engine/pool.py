@@ -28,7 +28,6 @@ and ``spawn``.
 from __future__ import annotations
 
 import hashlib
-import json
 import multiprocessing
 import queue as queue_module
 import signal
@@ -50,7 +49,7 @@ from repro.engine.progress import (
     JobEvent,
     ProgressListener,
 )
-from repro.engine.serialize import result_from_dict, result_to_dict
+from repro.engine.serialize import result_from_bytes, result_to_bytes
 from repro.obs import metrics as obs
 from repro.obs.spans import span
 from repro.trace.columnar import ColumnarTrace
@@ -144,15 +143,6 @@ def _null_listener(event: JobEvent) -> None:
 #: journals outcomes through this hook so a SIGKILL'd run loses nothing
 #: already finished. Exceptions propagate and abort the grid (fail-fast).
 OutcomeListener = Callable[[JobOutcome], None]
-
-
-def _payload_checksum(result_dict: dict) -> str:
-    """Checksum of a result payload in its canonical JSON form. Workers
-    stamp it before the payload crosses the result queue; the parent
-    recomputes it on receipt, so a mangled payload surfaces as a structured
-    job failure (retryable) instead of silently skewing a table."""
-    blob = json.dumps(result_dict, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def resolve_start_method(start_method: Optional[str] = None) -> str:
@@ -272,7 +262,9 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
         pass
     signal.signal(signal.SIGTERM, _sigterm_to_exit)
     if metrics:
-        obs.enable()
+        # A fresh registry, not the one a fork inherits: the first drain
+        # would otherwise ship the parent's pre-fork counters back to it.
+        obs.enable(obs.MetricsRegistry())
     traces: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
     interrupted = False
     try:
@@ -313,10 +305,10 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
                 with span("kernel", phases=phases):
                     result = job.run(trace)
                 with span("serialize", phases=phases):
-                    result_dict = result_to_dict(result)
-                    checksum = _payload_checksum(result_dict)
+                    blob = result_to_bytes(result)
+                    checksum = hashlib.sha256(blob).hexdigest()
                 if faults.fire("corrupt", index):
-                    result_dict = faults.corrupt_payload(result_dict)
+                    blob = faults.corrupt_payload(blob)
                 seconds = time.perf_counter() - start
                 if phases is not None:
                     # Attribute inter-span dispatch overhead (cache lookups,
@@ -326,7 +318,7 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
                     if slack > 0.0:
                         phases["setup"] = phases.get("setup", 0.0) + slack
                 payload = (
-                    result_dict,
+                    blob,
                     seconds,
                     checksum,
                     _job_telemetry(metrics, phases, queue_wait),
@@ -639,9 +631,12 @@ def execute_jobs(
             emit(JobEvent(JOB_STARTED, index, total, job, worker=worker_id))
         elif kind == JOB_DONE:
             running.pop(worker_id, None)
-            result_dict, seconds, checksum, telemetry = payload
+            blob, seconds, checksum, telemetry = payload
             phases, queue_wait = _absorb_telemetry(telemetry)
-            if _payload_checksum(result_dict) != checksum:
+            # The checksum covers exactly the bytes the worker sent, so a
+            # payload mangled in transit fails here as a retryable job
+            # failure instead of silently skewing a table.
+            if hashlib.sha256(blob).hexdigest() != checksum:
                 finish(
                     JobOutcome(
                         index,
@@ -656,7 +651,7 @@ def execute_jobs(
                     JOB_FAILED,
                 )
                 return
-            result = result_from_dict(result_dict)
+            result = result_from_bytes(blob)
             if result_cache is not None and index in keys:
                 key, trace_digest = keys[index]
                 result_cache.store(key, trace_digest, job, result)

@@ -159,7 +159,8 @@ class RetryPolicy:
 # -- run journal ---------------------------------------------------------------
 
 #: Bump when the journal record layout changes; old journals refuse replay.
-JOURNAL_SCHEMA = 1
+#: 2: results carry the parallelism profile as a dense per-level count list.
+JOURNAL_SCHEMA = 2
 
 
 def new_run_id() -> str:

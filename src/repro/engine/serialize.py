@@ -1,13 +1,16 @@
 """Exact JSON serialization of analysis results.
 
 The engine moves :class:`~repro.core.results.AnalysisResult` values across
-two boundaries — worker process -> parent, and result cache -> later runs —
-and the determinism contract is *byte identity*: a grid run with ``--jobs 4``
-or a warm cache must reproduce the serial path exactly. Every field is
+process and disk boundaries — worker process -> parent, result cache ->
+later runs, run journal -> ``--resume``, server -> client — and the
+determinism contract is *byte identity*: a grid run with ``--jobs 4`` or a
+warm cache must reproduce the serial path exactly. Every field is
 therefore an int, bool, string, or structure of those (Python ints survive
-JSON exactly at any magnitude), and histograms are encoded as sorted
-``[key, count]`` pairs so the encoded form is canonical, not dict-order
-dependent.
+JSON exactly at any magnitude). The parallelism profile is encoded as its
+dense per-level count list; the two lifetime histograms, which are sparse,
+as sorted ``[key, count]`` pairs, so the encoded form is canonical, not
+dict-order dependent. :func:`result_to_bytes` is the one canonical byte
+form, and :func:`result_from_bytes` its inverse.
 """
 
 from __future__ import annotations
@@ -27,18 +30,6 @@ def _histogram_to_pairs(histogram: Dict[int, int]) -> List[List[int]]:
 
 def _histogram_from_pairs(pairs: List[List[int]]) -> Dict[int, int]:
     return {int(key): int(count) for key, count in pairs}
-
-
-def profile_to_dict(profile: Optional[ParallelismProfile]) -> Optional[dict]:
-    if profile is None:
-        return None
-    return {"counts": _histogram_to_pairs(profile.counts)}
-
-
-def profile_from_dict(data: Optional[dict]) -> Optional[ParallelismProfile]:
-    if data is None:
-        return None
-    return ParallelismProfile(_histogram_from_pairs(data["counts"]))
 
 
 def lifetimes_to_dict(stats: Optional[LifetimeStats]) -> Optional[dict]:
@@ -69,7 +60,7 @@ def result_to_dict(result: AnalysisResult) -> dict:
         "records_processed": result.records_processed,
         "placed_operations": result.placed_operations,
         "critical_path_length": result.critical_path_length,
-        "profile": profile_to_dict(result.profile),
+        "profile": None if result.profile is None else result.profile.counts,
         "syscalls": result.syscalls,
         "firewalls": result.firewalls,
         "branches": result.branches,
@@ -82,11 +73,12 @@ def result_to_dict(result: AnalysisResult) -> dict:
 
 def result_from_dict(data: dict) -> AnalysisResult:
     """Inverse of :func:`result_to_dict`."""
+    profile = data["profile"]
     return AnalysisResult(
         records_processed=data["records_processed"],
         placed_operations=data["placed_operations"],
         critical_path_length=data["critical_path_length"],
-        profile=profile_from_dict(data["profile"]),
+        profile=None if profile is None else ParallelismProfile(list(profile)),
         syscalls=data["syscalls"],
         firewalls=data["firewalls"],
         branches=data["branches"],
@@ -102,3 +94,8 @@ def result_to_bytes(result: AnalysisResult) -> bytes:
     return json.dumps(
         result_to_dict(result), sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
+
+
+def result_from_bytes(blob: bytes) -> AnalysisResult:
+    """Inverse of :func:`result_to_bytes`."""
+    return result_from_dict(json.loads(blob))

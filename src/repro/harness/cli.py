@@ -222,12 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: %(default)s)",
     )
     serve.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        help="jobs dispatched per engine grid (default: --jobs)",
-    )
-    serve.add_argument(
         "--no-metrics",
         dest="metrics",
         action="store_false",
@@ -336,16 +330,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=None,
-        help=f"instruction cap (default: {DEFAULT_CAP}; --stream on a trace "
-        "file defaults to the whole file instead)",
-    )
-    adhoc.add_argument(
-        "--stream",
-        action="store_true",
-        help="analyze a trace file with bounded memory: it streams through "
-        "fixed-size record chunks instead of loading whole (identical "
-        "results; required for traces larger than memory). A suite "
-        "workload is simulated in memory either way",
+        help=f"instruction cap (default: {DEFAULT_CAP} for a workload, the "
+        "whole file for a trace file, which streams through fixed-size "
+        "record chunks with bounded memory)",
     )
     adhoc.add_argument("--window", type=int, default=None)
     adhoc.add_argument(
@@ -420,7 +407,6 @@ def _command_serve(args) -> int:
         retries=args.retries,
         job_timeout=args.job_timeout,
         queue_limit=args.queue_limit,
-        batch=args.batch,
         metrics=args.metrics,
         port_file=args.port_file,
         keepalive_timeout=args.keepalive_timeout or None,
@@ -504,17 +490,11 @@ def _command_analyze(args) -> int:
         branch_predictor=args.branch_predictor,
         collect_lifetimes=args.lifetimes,
     )
-    is_file = args.workload.endswith((".pgt", ".pgt2"))
-    if args.stream and is_file:
+    if args.workload.endswith((".pgt", ".pgt2")):
         result = stream_analyze_file(args.workload, config, cap=args.cap)
     else:
         cap = args.cap if args.cap is not None else DEFAULT_CAP
-        if is_file:
-            from repro.trace.io import read_trace_file
-
-            trace = read_trace_file(args.workload).head(cap)
-        else:
-            trace = load_workload(args.workload).trace(max_instructions=cap)
+        trace = load_workload(args.workload).trace(max_instructions=cap)
         result = analyze(trace, config)
     print(result.summary())
     print(f"  placed operations : {result.placed_operations:,}")

@@ -82,7 +82,6 @@ class ServeConfig:
     retries: int = 2
     job_timeout: Optional[float] = None
     queue_limit: int = 256
-    batch: Optional[int] = None
     metrics: bool = True
     port_file: Optional[str] = None
     #: Seconds an idle keep-alive connection may sit between requests
@@ -329,7 +328,7 @@ class AnalysisService:
         )
         self.registry = JobRegistry()
         self.queue = FairQueue(limit=config.queue_limit)
-        self.batch_size = config.batch or max(1, config.jobs)
+        self.batch_size = max(1, config.jobs)
         self.started_at = time.time()
         self.draining = False
         self.stats = {

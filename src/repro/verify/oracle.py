@@ -60,7 +60,6 @@ cross-checks the implementations against each other instead.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -154,7 +153,11 @@ class OracleDDG:
         return max(placed) + 1 if placed else 0
 
     def profile(self) -> ParallelismProfile:
-        return ParallelismProfile(dict(Counter(self.placed_levels())))
+        placed = self.placed_levels()
+        counts = [0] * (max(placed) + 1 if placed else 0)
+        for level in placed:
+            counts[level] += 1
+        return ParallelismProfile(counts)
 
     def to_result(self) -> AnalysisResult:
         """Summarize as an :class:`AnalysisResult`. Fields the oracle does

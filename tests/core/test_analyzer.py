@@ -20,7 +20,7 @@ class TestBasicPlacement:
     def test_no_dependency_lands_in_top_level(self):
         trace = TraceBuilder().ialu(1).ialu(2).build()
         result = analyze(trace, unit())
-        assert result.profile.counts == {0: 2}
+        assert result.profile.counts == [2]
 
     def test_raw_dependency_orders_levels(self):
         trace = TraceBuilder().ialu(1).ialu(2, 1).ialu(3, 2).build()
@@ -32,7 +32,7 @@ class TestBasicPlacement:
         # still land in the topologically highest level (paper Figure 5).
         trace = TraceBuilder().ialu(2, 1).build()
         result = analyze(trace, unit())
-        assert result.profile.counts == {0: 1}
+        assert result.profile.counts == [1]
 
     def test_latency_spans_levels(self):
         trace = TraceBuilder().op(OpClass.IMUL, (1,), ()).op(
@@ -40,7 +40,7 @@ class TestBasicPlacement:
         ).build()
         result = analyze(trace)  # default Table 1 latencies
         # imul completes at level 5 (6 levels: 0..5), the add at 6.
-        assert result.profile.counts == {5: 1, 6: 1}
+        assert result.profile.counts == [0, 0, 0, 0, 0, 1, 1]
         assert result.critical_path_length == 7
 
     def test_max_over_sources(self):
@@ -76,14 +76,14 @@ class TestSyscalls:
     def test_conservative_firewall_delays_later_work(self):
         result = analyze(self.trace(), unit(syscall_policy=CONSERVATIVE))
         # levels: op1@0, op2@1, syscall@2 (after deepest), op3@3
-        assert result.profile.counts == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert result.profile.counts == [1, 1, 1, 1]
         assert result.firewalls == 1
         assert result.placed_operations == 4
 
     def test_optimistic_ignores_syscall(self):
         result = analyze(self.trace(), unit(syscall_policy=OPTIMISTIC))
         assert result.placed_operations == 3
-        assert result.profile.counts == {0: 2, 1: 1}
+        assert result.profile.counts == [2, 1]
         assert result.firewalls == 0
 
     def test_syscall_counted_in_both_policies(self):
@@ -118,7 +118,7 @@ class TestStorageDependencies:
         builder.ialu(2, 1)     # consumer @ 1
         builder.ialu(1)        # rewrite: WAR -> level 2 (not 0)
         result = analyze(builder.build(), unit(rename_registers=False))
-        assert result.profile.counts == {0: 1, 1: 1, 2: 1}
+        assert result.profile.counts == [1, 1, 1]
 
     def test_renaming_removes_war(self):
         builder = TraceBuilder()
@@ -126,7 +126,7 @@ class TestStorageDependencies:
         builder.ialu(2, 1)
         builder.ialu(1)
         result = analyze(builder.build(), unit())
-        assert result.profile.counts == {0: 2, 1: 1}
+        assert result.profile.counts == [2, 1]
 
     def test_unread_value_rewrite_unconstrained(self):
         # Paper semantics: Ddest is the deepest *consumer*; overwriting a
@@ -135,7 +135,7 @@ class TestStorageDependencies:
         builder.op(OpClass.IMUL, (1,), ())  # v1 @ 5, never read
         builder.ialu(1)                     # rewrite lands at 0
         result = analyze(builder.build(), AnalysisConfig(rename_registers=False))
-        assert result.profile.counts == {5: 1, 0: 1}
+        assert result.profile.counts == [1, 0, 0, 0, 0, 1]
 
     def test_memory_war_chains_stores(self):
         builder = TraceBuilder()
@@ -167,7 +167,7 @@ class TestStorageDependencies:
         builder.op(OpClass.IDIV, (3,), (1,))  # consumer @ 12
         builder.ialu(1)                       # rewrite at 13
         result = analyze(builder.build(), AnalysisConfig(rename_registers=False))
-        assert 13 in result.profile.counts
+        assert result.profile.counts[13] == 1
 
     def test_same_location_read_and_written(self):
         # i = i + 1 chains are true dependencies, with or without renaming.
@@ -210,7 +210,7 @@ class TestWindow:
         builder.ialu(2)  # the ialu at distance 5 in the trace
         monotone = analyze(builder.build(), unit(window_size=3))
         # op 0 was displaced before op 5 entered: firewall applies.
-        assert monotone.profile.counts == {0: 1, 1: 1}
+        assert monotone.profile.counts == [1, 1]
 
     def test_window_monotone_parallelism(self):
         from repro.trace.synthetic import random_trace

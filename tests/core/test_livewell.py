@@ -93,7 +93,7 @@ class TestEdgeCases:
         assert value.uses == 0           # nothing has read the new value yet
         result = analyzer.finish()
         assert result.critical_path_length == 2
-        assert result.profile.counts == {0: 1, 1: 1}
+        assert result.profile.counts == [1, 1]
 
     def test_store_to_address_just_freed(self):
         """Overwrite of a dead memory value: the new store's WAR constraint
@@ -133,7 +133,7 @@ class TestEdgeCases:
         assert analyzer.well.peek(3).level == 2
         result = analyzer.finish()
         assert result.firewalls == 1
-        assert result.profile.counts == {0: 1, 1: 1, 2: 2}
+        assert result.profile.counts == [1, 1, 2]
 
     def test_latency_table_rejects_zero_latency(self):
         """There is no such thing as a zero-latency placed op: levels are

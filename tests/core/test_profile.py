@@ -36,7 +36,11 @@ class TestScalars:
         profile = ParallelismProfile()
         profile.add(3)
         profile.add(3, 2)
-        assert profile.counts == {3: 3}
+        assert profile.counts == [0, 0, 0, 3]
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError):
+            ParallelismProfile().add(-1)
 
 
 class TestBurstiness:
@@ -101,10 +105,3 @@ class TestRendering:
     def test_ascii_plot_empty(self):
         assert "empty" in ParallelismProfile().ascii_plot()
 
-
-class TestMerge:
-    def test_merged_into(self):
-        a = make({0: 1, 2: 3})
-        b = make({0: 2})
-        a.merged_into(b)
-        assert b.counts == {0: 3, 2: 3}

@@ -23,6 +23,7 @@ from repro.engine.faults import ENV_DIR, ENV_SPEC, FaultPlan, FaultSpecError, pa
 from repro.engine.progress import JOB_DONE, JOB_REPLAYED, JOB_RETRY
 from repro.engine.resilience import (
     ENV_MANIFEST_DIR,
+    JOURNAL_SCHEMA,
     PERMANENT,
     TRANSIENT,
     JournalError,
@@ -311,7 +312,7 @@ class TestRunJournal:
         outcomes = [entry for entry in entries if entry["event"] == "outcome"]
         assert len(outcomes) == len(grid())
         assert all(entry["ok"] and entry["result"] for entry in outcomes)
-        assert all(entry["schema"] == 1 for entry in entries)
+        assert all(entry["schema"] == JOURNAL_SCHEMA for entry in entries)
 
     def test_resume_replays_completed_jobs(self, serial_bytes, tmp_path, fault_env):
         journal_dir = str(tmp_path / "journal")
@@ -370,6 +371,28 @@ class TestRunJournal:
         open(path, "w").writelines(lines)
         with pytest.raises(JournalError, match="corrupt journal line"):
             RunJournal(journal_dir, run_id=first.run_id, resume=True)
+
+    def test_schema_1_journal_refuses_resume(self, tmp_path, fault_env):
+        """A journal from before the dense-profile layout (schema 1) is
+        refused rather than replayed into results of the wrong shape."""
+        journal_dir = str(tmp_path / "journal")
+        store_dir = str(tmp_path / "traces")
+        first = ExperimentEngine(
+            store=TraceStore(store_dir), jobs=1, journal_dir=journal_dir
+        )
+        first.analyze_grid(grid()[:2])
+        path = os.path.join(journal_dir, f"{first.run_id}.jsonl")
+        entries = [json.loads(line) for line in open(path)]
+        with open(path, "w") as handle:
+            for entry in entries:
+                handle.write(json.dumps({**entry, "schema": 1}) + "\n")
+        with pytest.raises(JournalError, match="schema 1, expected 2"):
+            ExperimentEngine(
+                store=TraceStore(store_dir),
+                jobs=1,
+                journal_dir=journal_dir,
+                resume=first.run_id,
+            )
 
     def test_missing_journal_refuses_resume(self, tmp_path):
         with pytest.raises(JournalError, match="no journal"):

@@ -11,7 +11,12 @@ from repro.core.config import AnalysisConfig
 from repro.core.latency import LatencyTable
 from repro.core.resources import ResourceModel
 from repro.core.twopass import twopass_analyze
-from repro.engine.serialize import result_from_dict, result_to_bytes, result_to_dict
+from repro.engine.serialize import (
+    result_from_bytes,
+    result_from_dict,
+    result_to_bytes,
+    result_to_dict,
+)
 from repro.trace.synthetic import random_trace
 
 
@@ -52,9 +57,14 @@ class TestRoundTrip:
 
     def test_profile_survives_exactly(self, trace):
         result = analyze(trace, AnalysisConfig())
-        restored = result_from_dict(result_to_dict(result))
+        restored = result_from_bytes(result_to_bytes(result))
         assert restored.profile.counts == result.profile.counts
-        assert isinstance(next(iter(restored.profile.counts)), int)
+        assert all(type(count) is int for count in restored.profile.counts)
+        assert restored.profile.depth == result.critical_path_length
+
+    def test_profile_encodes_as_its_dense_list(self, trace):
+        result = analyze(trace, AnalysisConfig())
+        assert json.loads(result_to_bytes(result))["profile"] == result.profile.counts
 
     def test_lifetimes_survive_exactly(self, trace):
         result = analyze(trace, AnalysisConfig(collect_lifetimes=True))
@@ -67,6 +77,11 @@ class TestRoundTrip:
         assert result_to_bytes(result) == result_to_bytes(
             result_from_dict(result_to_dict(result))
         )
+
+    def test_bytes_round_trip(self, trace):
+        result = analyze(trace, AnalysisConfig(collect_lifetimes=True))
+        blob = result_to_bytes(result)
+        assert result_to_bytes(result_from_bytes(blob)) == blob
 
 
 def _config_round_trip(config: AnalysisConfig) -> AnalysisConfig:

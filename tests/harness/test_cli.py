@@ -82,22 +82,42 @@ class TestAnalyze:
         assert "records=300" in out
 
     def test_stream_trace_file_matches_in_memory(self, tmp_path, capsys):
-        from repro.trace.io import write_trace_file
+        from repro.core.analyzer import analyze
+        from repro.trace.io import read_trace_file, write_trace_file
         from repro.trace.synthetic import random_trace
 
         path = str(tmp_path / "t.pgt2")
         write_trace_file(path, random_trace(4, 500, syscall_fraction=0.05))
         assert main(["analyze", path, "--cap", "300"]) == 0
-        in_memory = capsys.readouterr().out
-        assert main(["analyze", path, "--cap", "300", "--stream"]) == 0
-        assert capsys.readouterr().out == in_memory
-        assert "records=300" in in_memory
+        out = capsys.readouterr().out
+        in_memory = analyze(read_trace_file(path).head(300))
+        assert in_memory.summary() in out
+        assert f"critical path     : {in_memory.critical_path_length:,}" in out
+        assert "records=300" in out
 
-    def test_stream_on_a_workload_is_the_in_memory_analysis(self, capsys):
-        assert main(["analyze", "xlispx", "--cap", "2000"]) == 0
-        in_memory = capsys.readouterr().out
-        assert main(["analyze", "xlispx", "--cap", "2000", "--stream"]) == 0
-        assert capsys.readouterr().out == in_memory
+    def test_trace_file_never_decoded_whole(self, tmp_path, capsys, monkeypatch):
+        """A trace file streams through chunks; the whole-file tuple
+        decode is never called, with or without ``--cap``."""
+        import repro.trace.io
+        from repro.trace.io import write_trace_file
+        from repro.trace.synthetic import random_trace
+
+        path = str(tmp_path / "t.pgt2")
+        write_trace_file(path, random_trace(6, 400))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("read_trace_file called by analyze")
+
+        monkeypatch.setattr(repro.trace.io, "read_trace_file", forbidden)
+        assert main(["analyze", path]) == 0
+        assert "records=400" in capsys.readouterr().out
+        assert main(["analyze", path, "--cap", "250"]) == 0
+        assert "records=250" in capsys.readouterr().out
+
+    def test_stream_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["analyze", "xlispx", "--cap", "2000", "--stream"])
+        assert "--stream" in capsys.readouterr().err
 
 
 class TestVerify:

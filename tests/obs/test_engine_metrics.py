@@ -56,7 +56,9 @@ class TestCrossProcessMerge:
     def test_parallel_merge_equals_serial_totals(self, tmp_path):
         """The parent's merged registry (parent counters + every worker's
         drained delta) must count exactly what a serial run counts: one
-        kernel span per job, regardless of which worker ran it."""
+        kernel span per job, regardless of which worker ran it. Counters
+        the parent takes before forking its workers (trace generation, shm
+        packing, spawns) must come back once, not once more per worker."""
         serial = engine_for(tmp_path / "serial", jobs=1)
         serial.run_grid(grid())
         serial_counts = grid_counters(serial)
@@ -70,6 +72,11 @@ class TestCrossProcessMerge:
         assert serial_counts["span.kernel.count"] == n
         assert parallel_counts["span.kernel.count"] == n
         assert parallel_counts["jobs.done"] == serial_counts["jobs.done"] == n
+        traces = len(WORKLOADS)
+        assert serial_counts["trace_store.generate"] == traces
+        assert parallel_counts["trace_store.generate"] == traces
+        assert parallel_counts["trace_shm.packs"] == traces
+        assert parallel_counts["pool.spawns"] == 2
         queue_waits = load_run(parallel.metrics_file)["grids"][-1]["registry"][
             "histograms"
         ]["job.queue_wait"]
